@@ -22,7 +22,11 @@
  *   --spec FILE       submit an existing job-spec file instead of
  *                     building one from the flags above
  *   --wait            poll the job's state until it reaches "done"
- *                     (exit 0) or "failed" (exit 1, message printed)
+ *                     (exit 0) or "failed" (exit 1, message printed);
+ *                     gives up with exit 3 once the deadline passes
+ *   --wait-timeout-ms N
+ *                     --wait deadline on the steady clock (default
+ *                     600000, i.e. 10 minutes)
  *   --list            print every job in the queue with its state and
  *                     exit
  *
@@ -95,16 +99,26 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s --queue DIR --name NAME --out FILE\n"
                  "          [--batches LIST] [--schedules LIST] [--wait]\n"
+                 "          [--wait-timeout-ms N]\n"
                  "       %s --queue DIR --spec FILE [--wait]\n"
                  "       %s --queue DIR --list\n",
                  argv0, argv0, argv0);
     return 2;
 }
 
-/** --wait: poll until the job leaves the queued/active states. */
+/// Exit status of --wait when the deadline passes first.
+constexpr int kExitWaitTimeout = 3;
+
+/**
+ * --wait: poll until the job leaves the queued/active states, or
+ * until @p timeout_ms of steady-clock time has passed.
+ */
 int
-waitForJob(service::JobQueue &queue, const std::string &jobId)
+waitForJob(service::JobQueue &queue, const std::string &jobId,
+           long timeout_ms)
 {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
     for (;;) {
         std::string state;
         for (const service::JobEntry &e : queue.scan(nullptr)) {
@@ -126,6 +140,13 @@ waitForJob(service::JobQueue &queue, const std::string &jobId)
                          jobId.c_str());
             return 1;
         }
+        if (std::chrono::steady_clock::now() >= deadline) {
+            std::fprintf(stderr,
+                         "job %s: still %s after %ld ms; is fsmoe_sweepd "
+                         "running on this queue?\n",
+                         jobId.c_str(), state.c_str(), timeout_ms);
+            return kExitWaitTimeout;
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
 }
@@ -142,6 +163,7 @@ main(int argc, char **argv)
     std::vector<int64_t> batches = {1, 2};
     std::vector<std::string> schedules;
     bool wait = false;
+    long wait_timeout_ms = 600000;
     bool list = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -160,6 +182,15 @@ main(int argc, char **argv)
             schedules = parseSchedules(argv[++i]);
         } else if (std::strcmp(argv[i], "--wait") == 0) {
             wait = true;
+        } else if (std::strcmp(argv[i], "--wait-timeout-ms") == 0 &&
+                   i + 1 < argc) {
+            char *end = nullptr;
+            wait_timeout_ms = std::strtol(argv[++i], &end, 10);
+            if (*end != '\0' || wait_timeout_ms < 0) {
+                std::fprintf(stderr, "bad --wait-timeout-ms '%s'\n",
+                             argv[i]);
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "--list") == 0) {
             list = true;
         } else {
@@ -225,5 +256,5 @@ main(int argc, char **argv)
     }
     std::printf("submitted %s (queue %s)\n", jobId.c_str(), queue_dir);
     std::fflush(stdout);
-    return wait ? waitForJob(queue, jobId) : 0;
+    return wait ? waitForJob(queue, jobId, wait_timeout_ms) : 0;
 }

@@ -244,7 +244,9 @@ printRanked(const std::vector<runtime::SweepResult> &records)
  * count only cache-miss work. The solver line re-slices part of the
  * graph-build line: Algorithm-1 and DE-partition solves happen inside
  * Schedule::build, so cold-solve time is included in "graph build"
- * and broken out separately from the process-wide solver cache.
+ * and broken out separately from the process-wide solver cache. Its
+ * step-2 work counts (DE runs, DE objective evaluations) are
+ * deterministic for a given set of cold partition solves.
  */
 void
 printProfile(const runtime::SweepStats &stats)
@@ -261,12 +263,16 @@ printProfile(const runtime::SweepStats &stats)
     std::printf("  %-28s %10.1f ms\n", "graph build + in-build sims",
                 stats.graphBuildMs);
     std::printf("  %-28s %10.1f ms  (%llu cold, %llu cached; "
-                "process-wide)\n",
+                "process-wide; %llu step-2 runs, %llu DE evals)\n",
                 "  of which solver solves", solver.solveMs,
                 static_cast<unsigned long long>(solver.pipelineMisses +
                                                 solver.partitionMisses),
                 static_cast<unsigned long long>(solver.pipelineHits +
-                                                solver.partitionHits));
+                                                solver.partitionHits),
+                static_cast<unsigned long long>(
+                    stats::counter("solver.step2.runs").value()),
+                static_cast<unsigned long long>(
+                    stats::counter("solver.de.evals").value()));
     std::printf("  %-28s %10.1f ms\n", "simulate (final graphs)",
                 stats.simulateMs);
     std::printf("  %-28s %10.1f ms\n", "sweep wall time",

@@ -1,9 +1,12 @@
 #include "core/grad_partition.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "base/logging.h"
+#include "base/stats.h"
 
 namespace fsmoe::core {
 
@@ -21,6 +24,21 @@ double
 garCapacity(const LinearModel &ar, double ms)
 {
     return std::max(0.0, ar.inverse(ms));
+}
+
+/** True when two problems agree bit for bit in every field. */
+bool
+sameBits(const PipelineProblem &a, const PipelineProblem &b)
+{
+    auto fields = [](const PipelineProblem &p) {
+        return std::array<double, 13>{
+            p.a2a.alpha, p.a2a.beta, p.a2a.n,  p.ag.alpha, p.ag.beta,
+            p.ag.n,      p.rs.alpha, p.rs.beta, p.rs.n,    p.exp.alpha,
+            p.exp.beta,  p.exp.n,    p.tGar};
+    };
+    const auto fa = fields(a), fb = fields(b);
+    return a.rMax == b.rMax &&
+           std::memcmp(fa.data(), fb.data(), sizeof fa) == 0;
 }
 
 /** Fill a plan's solutions, times and total from its byte assignment. */
@@ -68,6 +86,10 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
     double pending = 0.0;
     // Unassigned bytes available at each layer, for step 2's bounds.
     std::vector<double> produced_prefix(n, 0.0);
+    // The layers of one model usually pose the bit-identical problem,
+    // so each run of equal problems is solved once.
+    const PipelineProblem *solved = nullptr;
+    PipelineSolution free_sol;
     for (size_t i = 0; i < n; ++i) {
         pending += layers[i].gradBytes;
         if (pending > 0.0) {
@@ -77,9 +99,11 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
             pending -= take;
         }
         if (pending > 0.0) {
-            PipelineSolution free_sol =
-                merged_channel ? solvePipelineMerged(layers[i].moe)
-                               : solvePipeline(layers[i].moe);
+            if (solved == nullptr || !sameBits(*solved, layers[i].moe)) {
+                free_sol = merged_channel ? solvePipelineMerged(layers[i].moe)
+                                          : solvePipeline(layers[i].moe);
+                solved = &layers[i].moe;
+            }
             double moe_cap = garCapacity(allreduce, free_sol.tOlpMoe);
             double take = std::min(pending, moe_cap);
             plan.moeBytes[i] = take;
@@ -101,7 +125,21 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
     // and over-assignment are penalised.
     const double remaining = pending;
     std::vector<double> lo(n, 0.0), hi(n, remaining);
+    // Each layer's integer makespan as a function of t_gar, tabulated
+    // once (and shared by runs of equal layers): DegreeTable::minTime
+    // equals the exhaustive integer solve the objective needs, at a
+    // fraction of its cost.
+    std::vector<DegreeTable> tables;
+    tables.reserve(n);
+    std::vector<const DegreeTable *> table_of(n);
+    for (size_t i = 0; i < n; ++i) {
+        if (i == 0 || !sameBits(layers[i - 1].moe, layers[i].moe))
+            tables.emplace_back(layers[i].moe, merged_channel);
+        table_of[i] = &tables.back();
+    }
+    uint64_t evals = 0;
     auto objective = [&](const std::vector<double> &x) {
+        ++evals;
         double total = 0.0;
         double assigned = 0.0;
         double violation = 0.0;
@@ -115,14 +153,9 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
         assigned = cum;
         if (assigned > remaining)
             violation += assigned - remaining;
-        for (size_t i = 0; i < n; ++i) {
-            PipelineProblem prob = layers[i].moe;
-            prob.tGar = garTime(allreduce, plan.moeBytes[i] + x[i]);
-            // The exhaustive integer solves are exact and cheap
-            // enough for the inner loop of differential evolution.
-            total += merged_channel ? solvePipelineMerged(prob).tMoe
-                                    : solvePipelineExhaustive(prob).tMoe;
-        }
+        for (size_t i = 0; i < n; ++i)
+            total += table_of[i]->minTime(
+                garTime(allreduce, plan.moeBytes[i] + x[i]));
         double tail = std::max(0.0, remaining - assigned);
         total += garTime(allreduce, tail);
         // Penalty scale: one full AllReduce of the violation, squared
@@ -137,6 +170,8 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
     solver::DeResult best = solver::differentialEvolution(objective, lo, hi,
                                                           de);
     plan.deGenerations = best.generations;
+    stats::counter("solver.step2.runs").inc();
+    stats::counter("solver.de.evals").inc(evals);
 
     // Clip the DE solution to the feasible polytope before adopting it.
     double cum = 0.0;

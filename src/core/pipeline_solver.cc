@@ -1,7 +1,9 @@
 #include "core/pipeline_solver.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "base/logging.h"
@@ -28,38 +30,64 @@ makeProblem(const PerfModelSet &models, const Workload &w, Phase phase,
     return p;
 }
 
-CasePredicates
-evalPredicates(const PipelineProblem &p, double r)
+namespace {
+
+/**
+ * The case analysis at degree r split at its one t_gar test. The
+ * t_gar-free predicates Q1-Q3 pick the case that competes with case 1
+ * and the bound t_gar must exceed for case 1 to hold instead: the
+ * right-hand side of Q5 or Q4 when Q1 holds, of Q7 or Q6 when not.
+ */
+struct CaseSplit
+{
+    int other;    ///< Case (2-4) that holds while t_gar <= bound.
+    double bound; ///< K_r: case 1 holds once t_gar exceeds it.
+};
+
+CaseSplit
+caseSplit(const PipelineProblem &p, double r)
 {
     const double a2a = p.a2a.chunk(r);
     const double ag = p.ag.chunk(r);
     const double rs = p.rs.chunk(r);
     const double exp = p.exp.chunk(r);
-    const double gar = p.tGar;
-
-    CasePredicates q;
-    q.q1 = a2a > ag;
-    q.q2 = r * exp > 2.0 * (r - 1.0) * a2a;
-    q.q3 = r * exp > (r - 1.0) * (ag + rs);
-    q.q4 = gar > ag + rs;
-    q.q5 = gar > r * exp - 2.0 * (r - 1.0) * a2a + ag + rs;
-    q.q6 = gar > r * ag + r * rs - 2.0 * (r - 1.0) * a2a;
-    q.q7 = gar > ag + rs + r * exp - 2.0 * (r - 1.0) * a2a;
-    return q;
+    if (a2a > ag) {                                  // Q1
+        if (r * exp > 2.0 * (r - 1.0) * a2a)         // Q2
+            return {2, r * exp - 2.0 * (r - 1.0) * a2a + ag + rs}; // Q5
+        return {3, ag + rs};                                       // Q4
+    }
+    if (r * exp > (r - 1.0) * (ag + rs))             // Q3
+        return {2, ag + rs + r * exp - 2.0 * (r - 1.0) * a2a};     // Q7
+    return {4, r * ag + r * rs - 2.0 * (r - 1.0) * a2a};           // Q6
 }
+
+/** mergedMoeTime's terms: channel time without t_gar, compute path. */
+struct MergedTerms
+{
+    double channel; ///< A_r: the shared channel's busy time.
+    double compute; ///< B_r: the compute-bound pipeline path.
+};
+
+MergedTerms
+mergedTerms(const PipelineProblem &p, double r)
+{
+    const double a2a = p.a2a.chunk(r);
+    const double ag = p.ag.chunk(r);
+    const double rs = p.rs.chunk(r);
+    const double exp = p.exp.chunk(r);
+    return {r * (2.0 * a2a + ag + rs), 2.0 * a2a + ag + rs + r * exp};
+}
+
+/// Scan-grid size of each case's constrained minimisation.
+constexpr int kCaseGridSamples = 512;
+
+} // namespace
 
 int
 caseAt(const PipelineProblem &p, double r)
 {
-    const CasePredicates q = evalPredicates(p, r);
-    if (q.q1) {
-        if (q.q2)
-            return q.q5 ? 1 : 2;
-        return q.q4 ? 1 : 3;
-    }
-    if (q.q3)
-        return q.q7 ? 1 : 2;
-    return q.q6 ? 1 : 4;
+    const CaseSplit split = caseSplit(p, r);
+    return p.tGar > split.bound ? 1 : split.other;
 }
 
 double
@@ -113,30 +141,26 @@ overlappableMoeTime(const PipelineProblem &p, double r)
     }
 }
 
-namespace {
-
-/** Continuous constrained minimisation of one case objective. */
-std::optional<solver::Minimum>
-solveCase(const PipelineProblem &p, int case_id)
-{
-    auto objective = [&](double r) { return caseTime(p, case_id, r); };
-    auto feasible = [&](double r) { return caseAt(p, r) == case_id; };
-    return solver::minimizeConstrained(objective, feasible, 1.0,
-                                       static_cast<double>(p.rMax));
-}
-
-} // namespace
-
 PipelineSolution
 solvePipeline(const PipelineProblem &p)
 {
     FSMOE_CHECK_ARG(p.rMax >= 1, "rMax must be at least 1");
 
-    // Lines 1-6 of Algorithm 1: per-case constrained solves.
+    // Lines 1-6 of Algorithm 1: per-case constrained solves. The four
+    // solves scan one grid, so its points are classified once here.
+    const double r_max = static_cast<double>(p.rMax);
+    std::array<int8_t, kCaseGridSamples> grid_case;
+    for (int i = 0; i < kCaseGridSamples; ++i) {
+        grid_case[i] = static_cast<int8_t>(caseAt(
+            p, solver::gridPoint(1.0, r_max, kCaseGridSamples, i)));
+    }
     double best_cont_r = 1.0;
     double best_cont_t = std::numeric_limits<double>::infinity();
     for (int c = 1; c <= 4; ++c) {
-        auto m = solveCase(p, c);
+        auto m = solver::minimizeConstrained(
+            [&](double r) { return caseTime(p, c, r); },
+            [&](double r) { return caseAt(p, r) == c; }, 1.0, r_max,
+            kCaseGridSamples, [&](int i) { return grid_case[i] == c; });
         if (m && m->value < best_cont_t) {
             best_cont_t = m->value;
             best_cont_r = m->x;
@@ -175,14 +199,8 @@ solvePipeline(const PipelineProblem &p)
 double
 mergedMoeTime(const PipelineProblem &p, double r)
 {
-    const double a2a = p.a2a.chunk(r);
-    const double ag = p.ag.chunk(r);
-    const double rs = p.rs.chunk(r);
-    const double exp = p.exp.chunk(r);
-    const double channel =
-        r * (2.0 * a2a + ag + rs) + p.tGar;
-    const double compute = 2.0 * a2a + ag + rs + r * exp;
-    return std::max(channel, compute);
+    const MergedTerms terms = mergedTerms(p, r);
+    return std::max(terms.channel + p.tGar, terms.compute);
 }
 
 PipelineSolution
@@ -230,6 +248,46 @@ solvePipelineExhaustive(const PipelineProblem &p)
     sol.caseId = caseAt(p, sol.r);
     sol.tOlpMoe = overlappableMoeTime(p, sol.r);
     return sol;
+}
+
+DegreeTable::DegreeTable(const PipelineProblem &p, bool merged)
+    : merged_(merged)
+{
+    FSMOE_CHECK_ARG(p.rMax >= 1, "rMax must be at least 1");
+    degrees_.reserve(p.rMax);
+    for (int ri = 1; ri <= p.rMax; ++ri) {
+        const double r = ri;
+        if (merged) {
+            const MergedTerms terms = mergedTerms(p, r);
+            degrees_.push_back({terms.channel, 0.0, terms.compute});
+        } else {
+            const CaseSplit split = caseSplit(p, r);
+            degrees_.push_back({2.0 * r * p.a2a.chunk(r), split.bound,
+                                caseTime(p, split.other, r)});
+        }
+    }
+}
+
+double
+DegreeTable::minTime(double t_gar) const
+{
+    // Same first-strict-minimum scan as the integer solvers.
+    double best = std::numeric_limits<double>::infinity();
+    if (merged_) {
+        for (const Degree &d : degrees_) {
+            const double t = std::max(d.garBase + t_gar, d.otherTime);
+            if (t < best)
+                best = t;
+        }
+    } else {
+        for (const Degree &d : degrees_) {
+            const double t =
+                t_gar > d.threshold ? d.garBase + t_gar : d.otherTime;
+            if (t < best)
+                best = t;
+        }
+    }
+    return best;
 }
 
 } // namespace fsmoe::core

@@ -16,6 +16,8 @@
 #ifndef FSMOE_CORE_PIPELINE_SOLVER_H
 #define FSMOE_CORE_PIPELINE_SOLVER_H
 
+#include <vector>
+
 #include "core/moe_config.h"
 #include "core/perf_model.h"
 
@@ -65,14 +67,10 @@ struct PipelineSolution
                               ///< (§5.2), evaluated at r with t_gar = 0.
 };
 
-/** The paper's seven predicates evaluated at pipeline degree @p r. */
-struct CasePredicates
-{
-    bool q1, q2, q3, q4, q5, q6, q7;
-};
-CasePredicates evalPredicates(const PipelineProblem &p, double r);
-
-/** Case id (1..4) that holds at degree @p r; exactly one always does. */
+/**
+ * Case id (1..4) that holds at degree @p r under the paper's
+ * predicates Q1..Q7; exactly one always does.
+ */
 int caseAt(const PipelineProblem &p, double r);
 
 /** Case formula t1..t4 evaluated at @p r (no case check). */
@@ -94,14 +92,16 @@ double overlappableMoeTime(const PipelineProblem &p, double r);
 /**
  * Algorithm 1: solve the four constrained case minimisations
  * (continuous r via grid-refined golden section, standing in for the
- * paper's SLSQP), then refine to the best feasible integer degree in
- * [1, rMax] using the analytic makespan.
+ * paper's SLSQP; the four share one scan grid, classified once), then
+ * refine to the best feasible integer degree in [1, rMax] using the
+ * analytic makespan.
  */
 PipelineSolution solvePipeline(const PipelineProblem &p);
 
 /**
  * Brute-force reference: evaluate analyticMoeTime at every integer r
- * in [1, rMax] and return the argmin. Used to validate solvePipeline.
+ * in [1, rMax] and return the argmin. Used to validate solvePipeline
+ * and DegreeTable.
  */
 PipelineSolution solvePipelineExhaustive(const PipelineProblem &p);
 
@@ -116,6 +116,43 @@ double mergedMoeTime(const PipelineProblem &p, double r);
 
 /** Integer argmin of mergedMoeTime over [1, rMax]. */
 PipelineSolution solvePipelineMerged(const PipelineProblem &p);
+
+/**
+ * The integer-degree makespan of one problem as a function of t_gar,
+ * precomputed for the step-2 search (§5.3), which re-solves the same
+ * layer at thousands of t_gar values.
+ *
+ * For a fixed degree r, t_gar enters the separate-channel makespan
+ * through a single threshold: case 1 (C_r + t_gar, C_r = 2 r a2a)
+ * holds once t_gar exceeds K_r, the Q4/Q5/Q6/Q7 bound that Q1-Q3
+ * select, and the competing case's t-independent T_r holds below it.
+ * The merged-channel makespan is max(A_r + t_gar, B_r). The table
+ * stores those constants per degree, each computed by the same code
+ * as caseAt, caseTime and mergedMoeTime, so minTime(g) equals (==)
+ * solvePipelineExhaustive(p with tGar = g).tMoe, or
+ * solvePipelineMerged's when @p merged, while doing no divisions.
+ */
+class DegreeTable
+{
+  public:
+    /** Tabulate @p p (its tGar is ignored) for degrees 1..rMax. */
+    DegreeTable(const PipelineProblem &p, bool merged);
+
+    /** Least makespan over every degree at t_gar = @p t_gar. */
+    double minTime(double t_gar) const;
+
+  private:
+    /** Per-degree constants: C_r, K_r, T_r or A_r, -, B_r. */
+    struct Degree
+    {
+        double garBase;   ///< C_r (separate) or A_r (merged).
+        double threshold; ///< K_r (separate only).
+        double otherTime; ///< T_r (separate) or B_r (merged).
+    };
+
+    bool merged_;
+    std::vector<Degree> degrees_;
+};
 
 } // namespace fsmoe::core
 

@@ -1,30 +1,10 @@
 #include "solver/minimize.h"
 
-#include <cmath>
 #include <limits>
 
 #include "base/logging.h"
 
 namespace fsmoe::solver {
-
-Minimum
-minimizeHyperbolic(double a, double b, double c, double lo)
-{
-    FSMOE_CHECK_ARG(lo > 0.0, "minimizeHyperbolic requires lo > 0");
-    auto eval = [&](double r) { return a * r + b / r + c; };
-    double x = lo;
-    if (a > 0.0 && b > 0.0) {
-        x = std::max(lo, std::sqrt(b / a));
-    } else if (a > 0.0) {
-        x = lo; // increasing: boundary optimum
-    } else if (b > 0.0) {
-        // Decreasing in r: unbounded improvement; report a large r so the
-        // caller's integer clamp takes over.
-        x = std::numeric_limits<double>::max();
-        return {x, c};
-    }
-    return {x, eval(x)};
-}
 
 Minimum
 goldenSection(const std::function<double(double)> &f, double lo, double hi,
@@ -55,10 +35,18 @@ goldenSection(const std::function<double(double)> &f, double lo, double hi,
     return {x, f(x)};
 }
 
+double
+gridPoint(double lo, double hi, int samples, int i)
+{
+    const double step = (hi - lo) / (samples - 1);
+    return lo + step * i;
+}
+
 std::optional<Minimum>
 minimizeConstrained(const std::function<double(double)> &f,
                     const std::function<bool(double)> &feasible, double lo,
-                    double hi, int samples)
+                    double hi, int samples,
+                    const std::function<bool(int)> &feasible_at)
 {
     FSMOE_CHECK_ARG(samples >= 2, "minimizeConstrained needs >= 2 samples");
     FSMOE_CHECK_ARG(lo <= hi, "minimizeConstrained requires lo <= hi");
@@ -74,8 +62,8 @@ minimizeConstrained(const std::function<double(double)> &f,
     double best_v = std::numeric_limits<double>::infinity();
     bool found = false;
     for (int i = 0; i < samples; ++i) {
-        double x = lo + step * i;
-        if (!feasible(x))
+        double x = gridPoint(lo, hi, samples, i);
+        if (!(feasible_at ? feasible_at(i) : feasible(x)))
             continue;
         double v = f(x);
         if (v < best_v) {

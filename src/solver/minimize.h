@@ -4,11 +4,11 @@
  *
  * The paper solves each case objective f1..f4 with SLSQP (§4.3). Every
  * objective has the hyperbolic form A*r + B/r + C, which is convex on
- * r > 0, so we provide (a) the closed-form unconstrained minimiser,
- * (b) golden-section search for general convex objectives, and (c) a
- * feasibility-aware solve that combines a coarse grid scan with local
- * golden-section refinement — robust for the paper's disjunctive
- * Q-predicate constraint regions, which need not be intervals.
+ * r > 0, so we provide (a) golden-section search for general convex
+ * objectives and (b) a feasibility-aware solve that combines a coarse
+ * grid scan with local golden-section refinement — robust for the
+ * paper's disjunctive Q-predicate constraint regions, which need not
+ * be intervals.
  */
 #ifndef FSMOE_SOLVER_MINIMIZE_H
 #define FSMOE_SOLVER_MINIMIZE_H
@@ -26,13 +26,6 @@ struct Minimum
 };
 
 /**
- * Closed-form minimiser of f(r) = a*r + b/r + c over r >= lo.
- * With a,b >= 0 the unconstrained argmin is sqrt(b/a); degenerate
- * coefficients fall back to the boundary.
- */
-Minimum minimizeHyperbolic(double a, double b, double c, double lo = 1.0);
-
-/**
  * Golden-section search for a unimodal objective on [lo, hi].
  *
  * @param f    Objective.
@@ -44,18 +37,31 @@ Minimum goldenSection(const std::function<double(double)> &f, double lo,
                       double hi, double tol = 1e-6);
 
 /**
+ * Point @p i of the uniform scan grid of @p samples points on
+ * [lo, hi] that minimizeConstrained walks — the exact double it
+ * passes to `feasible`.
+ */
+double gridPoint(double lo, double hi, int samples, int i);
+
+/**
  * Minimise @p f over [lo, hi] subject to @p feasible(x) being true,
  * where the feasible set may be a union of intervals (the paper's
  * Q-predicate case regions). Scans a uniform grid of @p samples
  * points, keeps feasible candidates, and refines the best one locally
  * with golden-section (clamped to the feasible neighbourhood).
  *
+ * @param feasible_at  Optional: feasible(gridPoint(lo, hi, samples, i))
+ *                  answered by grid index, so callers that solve
+ *                  several constraints over one grid classify its
+ *                  points once. The scan then never calls @p feasible;
+ *                  the neighbourhood walk and refinement still do.
  * @return Nothing when no grid point is feasible.
  */
 std::optional<Minimum>
 minimizeConstrained(const std::function<double(double)> &f,
                     const std::function<bool(double)> &feasible, double lo,
-                    double hi, int samples = 512);
+                    double hi, int samples = 512,
+                    const std::function<bool(int)> &feasible_at = nullptr);
 
 } // namespace fsmoe::solver
 
