@@ -31,11 +31,13 @@
  *   --shard K/N      run only the K-th of N contiguous grid slices;
  *                    persisted shard files merge (fsmoe_diff --merge)
  *                    into a byte-identical unsharded result
- *   --no-sim-cache   disable the (costKey, schedule) SimResult cache
+ *   --no-sim-cache   disable the SimResult caches (by spec and by
+ *                    graph content)
  *   --profile        print a per-stage wall-time breakdown after the
  *                    sweep (cost derivation, graph build, solver,
- *                    simulate, caches) plus registry-backed cache hit
- *                    ratios and per-scenario simulate latency; see
+ *                    degree-search sims, final simulate) plus
+ *                    registry-backed cache hit ratios, simulator work
+ *                    counts and per-scenario simulate latency; see
  *                    docs/PERFORMANCE.md
  *   --explain WHICH  per-run analytics for one scenario of the grid:
  *                    link utilization and the critical path with the
@@ -108,6 +110,7 @@
 #include "core/solver_cache.h"
 #include "runtime/fault.h"
 #include "runtime/journal.h"
+#include "runtime/profile_report.h"
 #include "runtime/result_store.h"
 #include "runtime/scenario.h"
 #include "runtime/self_trace.h"
@@ -236,83 +239,6 @@ printRanked(const std::vector<runtime::SweepResult> &records)
                         ranked[i]->makespanMs / ranked.front()->makespanMs);
         }
     }
-}
-
-/**
- * --profile: where did the sweep's time go? Stage times are summed
- * across workers (they can exceed wall time on multiple threads) and
- * count only cache-miss work. The solver line re-slices part of the
- * graph-build line: Algorithm-1 and DE-partition solves happen inside
- * Schedule::build, so cold-solve time is included in "graph build"
- * and broken out separately from the process-wide solver cache. Its
- * step-2 work counts (DE runs, DE objective evaluations) are
- * deterministic for a given set of cold partition solves.
- */
-void
-printProfile(const runtime::SweepStats &stats)
-{
-    const core::SolverCacheStats solver = core::solverCacheStats();
-    std::printf("\nper-stage profile (summed across workers):\n");
-    std::printf("  %-28s %10.1f ms  (%zu cold, %zu cached)\n",
-                "cost derivation", stats.costDeriveMs,
-                stats.costCacheMisses, stats.costCacheHits);
-    // No cold/cached annotation here: builds are counted by the sim
-    // cache only when it is enabled (keepGraphs and --no-sim-cache
-    // build every scenario without moving those counters, which the
-    // main stats line already reports).
-    std::printf("  %-28s %10.1f ms\n", "graph build + in-build sims",
-                stats.graphBuildMs);
-    std::printf("  %-28s %10.1f ms  (%llu cold, %llu cached; "
-                "process-wide; %llu step-2 runs, %llu DE evals)\n",
-                "  of which solver solves", solver.solveMs,
-                static_cast<unsigned long long>(solver.pipelineMisses +
-                                                solver.partitionMisses),
-                static_cast<unsigned long long>(solver.pipelineHits +
-                                                solver.partitionHits),
-                static_cast<unsigned long long>(
-                    stats::counter("solver.step2.runs").value()),
-                static_cast<unsigned long long>(
-                    stats::counter("solver.de.evals").value()));
-    std::printf("  %-28s %10.1f ms\n", "simulate (final graphs)",
-                stats.simulateMs);
-    std::printf("  %-28s %10.1f ms\n", "sweep wall time",
-                stats.lastSweepWallMs);
-
-    // Registry-backed view: ratios and per-scenario latency come from
-    // the process-wide stats registry, so repeated sweeps in one
-    // process accumulate (unlike the per-engine stats above).
-    const auto pct = [](uint64_t hits, uint64_t misses) {
-        const uint64_t total = hits + misses;
-        return total > 0 ? 100.0 * static_cast<double>(hits) /
-                               static_cast<double>(total)
-                         : 0.0;
-    };
-    const uint64_t cost_h = stats::counter("sweep.costCache.hits").value();
-    const uint64_t cost_m = stats::counter("sweep.costCache.misses").value();
-    const uint64_t sim_h = stats::counter("sweep.simCache.hits").value();
-    const uint64_t sim_m = stats::counter("sweep.simCache.misses").value();
-    const uint64_t sol_h = stats::counter("solver.pipeline.hits").value() +
-                           stats::counter("solver.partition.hits").value();
-    const uint64_t sol_m =
-        stats::counter("solver.pipeline.misses").value() +
-        stats::counter("solver.partition.misses").value();
-    std::printf("cache hit ratios (process-wide):\n");
-    std::printf("  %-28s %5.1f%%  (%llu of %llu)\n", "cost cache",
-                pct(cost_h, cost_m),
-                static_cast<unsigned long long>(cost_h),
-                static_cast<unsigned long long>(cost_h + cost_m));
-    std::printf("  %-28s %5.1f%%  (%llu of %llu)\n", "sim cache",
-                pct(sim_h, sim_m), static_cast<unsigned long long>(sim_h),
-                static_cast<unsigned long long>(sim_h + sim_m));
-    std::printf("  %-28s %5.1f%%  (%llu of %llu)\n", "solver caches",
-                pct(sol_h, sol_m), static_cast<unsigned long long>(sol_h),
-                static_cast<unsigned long long>(sol_h + sol_m));
-    const stats::Histogram &sim_ms = stats::histogram("sweep.simulate.ms");
-    if (sim_ms.count() > 0)
-        std::printf("per-scenario simulate: mean %.3f ms, max %.3f ms "
-                    "(%llu cold simulations)\n",
-                    sim_ms.mean(), sim_ms.maxValue(),
-                    static_cast<unsigned long long>(sim_ms.count()));
 }
 
 /**
@@ -921,7 +847,8 @@ main(int argc, char **argv)
                     stats.costCacheMisses, stats.costCacheHits,
                     stats.simCacheMisses, stats.simCacheHits);
         if (profile)
-            printProfile(stats);
+            runtime::printProfile(stats, "sweep wall time",
+                                  stats.lastSweepWallMs);
 
         if (explain != nullptr && !results.empty()) {
             const runtime::ScenarioResult *target = nullptr;

@@ -16,6 +16,7 @@
  * fails unless the warm answer matches byte-for-byte with zero new
  * simulations).
  */
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "base/fileio.h"
 #include "base/json.h"
 #include "base/stats.h"
+#include "runtime/profile_report.h"
 #include "runtime/tuner.h"
 
 using namespace fsmoe;
@@ -53,6 +55,9 @@ usage(const char *argv0)
         "                     is answered from cache, byte-identically,\n"
         "                     with zero new simulations\n"
         "  --quiet            suppress the frontier table\n"
+        "  --profile          print the query's per-stage wall-time and\n"
+        "                     work-count breakdown (see\n"
+        "                     docs/PERFORMANCE.md)\n"
         "  --help             this text\n",
         argv0);
 }
@@ -88,6 +93,7 @@ main(int argc, char **argv)
     std::string out_json;
     bool selftest = false;
     bool quiet = false;
+    bool profile = false;
 
     for (int i = 1; i < argc; ++i) {
         const auto isFlag = [&](const char *name) {
@@ -125,6 +131,8 @@ main(int argc, char **argv)
             selftest = true;
         } else if (isFlag("--quiet")) {
             quiet = true;
+        } else if (isFlag("--profile")) {
+            profile = true;
         } else {
             std::fprintf(stderr, "unknown or incomplete option '%s'\n",
                          argv[i]);
@@ -158,7 +166,11 @@ main(int argc, char **argv)
                          error.c_str());
     }
 
+    const auto t0 = std::chrono::steady_clock::now();
     const runtime::TuneAnswer answer = tuner.tune(query);
+    const double query_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
 
     std::printf("query    %s\n", answer.queryKey.c_str());
     std::printf("answer   %s  (%s)\n", answer.best.c_str(),
@@ -175,6 +187,9 @@ main(int argc, char **argv)
                         json::fmtDouble(c.commBusyMs).c_str(),
                         json::fmtDouble(c.peakMemMB).c_str());
     }
+    if (profile)
+        runtime::printProfile(tuner.engine().stats(), "query wall time",
+                              query_ms);
 
     if (selftest) {
         const uint64_t sim_runs = stats::counter("sim.runs").value();

@@ -9,7 +9,6 @@
  * oversized chunk collides with AlltoAll on the shared channel.
  */
 #include <cmath>
-#include <limits>
 
 #include "core/schedules/builtins.h"
 #include "core/schedules/schedule.h"
@@ -21,7 +20,7 @@ namespace {
 
 using namespace detail;
 
-class LinaSchedule : public Schedule
+class LinaSchedule : public AdaptiveDegreeSchedule
 {
   public:
     /**
@@ -30,35 +29,23 @@ class LinaSchedule : public Schedule
      * @param degree      Fixed pipeline degree; 0 searches 1..rMax.
      */
     LinaSchedule(double chunk_bytes, int degree)
-        : chunk_bytes_(chunk_bytes), degree_(degree)
+        : AdaptiveDegreeSchedule(degree), chunk_bytes_(chunk_bytes)
     {
     }
 
     sim::TaskGraph
-    build(const ModelCost &model) const override
+    buildWithDegree(const ModelCost &model, int r) const override
     {
-        if (degree_ > 0)
-            return buildWithDegree(model, degree_);
-        int best_r = 1;
-        double best_t = std::numeric_limits<double>::infinity();
-        sim::Simulator simulator;
-        for (int r = 1; r <= model.rMax; ++r) {
-            sim::TaskGraph g = buildWithDegree(model, r);
-            double t = simulator.run(g).makespan;
-            if (t < best_t) {
-                best_t = t;
-                best_r = r;
-            }
-        }
-        return buildWithDegree(model, best_r);
-    }
-
-  private:
-    sim::TaskGraph
-    buildWithDegree(const ModelCost &model, int r) const
-    {
+        // Reserve for the real bucket count: at small chunk sizes the
+        // buckets outnumber every other task many times over, and
+        // regrowing a vector that size briefly holds it twice.
+        double grad_bytes = 0.0;
+        for (const LayerCost &lc : model.layers)
+            grad_bytes += lc.workload.gradBytes;
+        const size_t buckets =
+            static_cast<size_t>(std::floor(grad_bytes / chunk_bytes_)) + 1;
         sim::TaskGraph graph;
-        reserveIteration(graph, model.layers.size(), r);
+        reserveIteration(graph, model.layers.size(), r, buckets);
         PipelineBuildOptions opts;
         opts.mergeCommLinks = true;
 
@@ -69,7 +56,7 @@ class LinaSchedule : public Schedule
                                  r, opts, dep);
         }
         std::vector<sim::TaskId> barrier_deps;
-        barrier_deps.reserve(2 * model.layers.size() + 2);
+        barrier_deps.reserve(buckets + 1);
         // Lina accumulates gradients into fixed-size buckets across
         // layers and flushes an AllReduce only when a bucket fills; a
         // partial bucket waits until backpropagation ends. Readiness
@@ -102,8 +89,8 @@ class LinaSchedule : public Schedule
         return graph;
     }
 
+  private:
     double chunk_bytes_;
-    int degree_;
 };
 
 } // namespace

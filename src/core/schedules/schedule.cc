@@ -1,6 +1,7 @@
 #include "core/schedules/schedule.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/logging.h"
 
@@ -34,6 +35,42 @@ Schedule::simulate(const ModelCost &model, sim::TaskGraph *graph_out) const
     return result;
 }
 
+sim::TaskGraph
+Schedule::buildWithDegree(const ModelCost &model, int r) const
+{
+    (void)model;
+    FSMOE_PANIC("schedule '", name_, "' has no pipeline degree to fix (r=",
+                r, ")");
+}
+
+int
+searchDegree(const Schedule &schedule, const ModelCost &model,
+             const GraphMakespan &makespan)
+{
+    int best_r = 1;
+    double best_t = std::numeric_limits<double>::infinity();
+    for (int r = 1; r <= model.rMax; ++r) {
+        const double t = makespan(schedule.buildWithDegree(model, r));
+        if (t < best_t) {
+            best_t = t;
+            best_r = r;
+        }
+    }
+    return best_r;
+}
+
+sim::TaskGraph
+AdaptiveDegreeSchedule::build(const ModelCost &model) const
+{
+    if (degree_ > 0)
+        return buildWithDegree(model, degree_);
+    const sim::Simulator simulator{};
+    return buildWithDegree(
+        model, searchDegree(*this, model, [&](const sim::TaskGraph &g) {
+            return simulator.run(g).makespan;
+        }));
+}
+
 namespace detail {
 
 const char *
@@ -61,7 +98,8 @@ commLink(bool merged)
 } // namespace
 
 void
-reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max)
+reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
+                 size_t grad_tasks)
 {
     const size_t r = static_cast<size_t>(std::max(1, r_max));
     // Per layer per phase: attention, routing, order, iorder, up to
@@ -69,8 +107,10 @@ reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max)
     // slack for per-layer gradient tasks (Lina buckets, Tutel slices,
     // exposed tails) and the end-of-iteration barrier.
     const size_t per_phase = 5 + 5 * r;
-    graph.reserve(num_layers * 2 * per_phase + 8 * num_layers + 2,
-                  num_layers * 2 * (6 * r + 8) + 8 * num_layers + 8);
+    graph.reserve(num_layers * 2 * per_phase + 8 * num_layers + 2 +
+                      grad_tasks,
+                  num_layers * 2 * (6 * r + 8) + 8 * num_layers + 8 +
+                      2 * grad_tasks);
 }
 
 sim::TaskId
@@ -79,12 +119,11 @@ appendAttention(sim::TaskGraph &graph, const LayerCost &lc, Phase phase,
 {
     (void)opts;
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
-    std::vector<sim::TaskId> deps;
-    if (dep >= 0)
-        deps.push_back(dep);
+    if (dep < 0)
+        return graph.addTask("attention", sim::OpType::Attention,
+                             sim::Link::Compute, kCompute, t.attention);
     return graph.addTask("attention", sim::OpType::Attention,
-                         sim::Link::Compute, kCompute, t.attention,
-                         std::move(deps));
+                         sim::Link::Compute, kCompute, t.attention, {dep});
 }
 
 sim::TaskId
@@ -117,13 +156,12 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     const sim::Link l_inter = sim::Link::InterNode;
     const sim::Link l_intra = commLink(opts.mergeCommLinks);
 
-    std::vector<sim::TaskId> start_deps;
-    if (dep >= 0)
-        start_deps.push_back(dep);
-
-    sim::TaskId routing = graph.addTask("routing", sim::OpType::Routing,
-                                        sim::Link::Compute, s_comp,
-                                        t.routing, start_deps);
+    const sim::TaskId routing =
+        dep < 0 ? graph.addTask("routing", sim::OpType::Routing,
+                                sim::Link::Compute, s_comp, t.routing)
+                : graph.addTask("routing", sim::OpType::Routing,
+                                sim::Link::Compute, s_comp, t.routing,
+                                {dep});
     sim::TaskId order = graph.addTask("order", sim::OpType::Order,
                                       sim::Link::Compute, s_comp, t.order,
                                       {routing});
@@ -165,7 +203,9 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     // The inverse order waits for every combined chunk; the gradient
     // AllReduce does not gate it (only the end-of-iteration barrier
     // waits for AllReduces, so they may spill into later dense work).
-    std::vector<sim::TaskId> tail_deps = {combine.back()};
+    std::vector<sim::TaskId> tail_deps;
+    tail_deps.reserve(r);
+    tail_deps.push_back(combine.back());
     for (int i = 0; i + 1 < r; ++i)
         tail_deps.push_back(combine[i]);
     return graph.addTask("iorder", sim::OpType::Order, sim::Link::Compute,

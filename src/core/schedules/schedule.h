@@ -34,6 +34,7 @@
 #ifndef FSMOE_CORE_SCHEDULES_SCHEDULE_H
 #define FSMOE_CORE_SCHEDULES_SCHEDULE_H
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,6 +119,23 @@ class Schedule
     /** Build the full-iteration (forward + backward) task graph. */
     virtual sim::TaskGraph build(const ModelCost &model) const = 0;
 
+    /**
+     * True when build() picks its pipeline degree by simulation
+     * (PipeMoE's adaptive degree, spec degree=0). Such a schedule
+     * implements buildWithDegree(), and callers that memoize
+     * simulations — the sweep engine — run the search themselves
+     * through searchDegree() instead of calling build().
+     */
+    virtual bool searchesDegree() const { return false; }
+
+    /**
+     * Build the iteration at the fixed pipeline degree @p r. Only
+     * schedules whose searchesDegree() can be true implement it; the
+     * default panics.
+     */
+    virtual sim::TaskGraph buildWithDegree(const ModelCost &model,
+                                           int r) const;
+
     /** Convenience: build, simulate, and return the makespan in ms. */
     double iterationTimeMs(const ModelCost &model) const;
 
@@ -129,6 +147,41 @@ class Schedule
     friend class ScheduleRegistry;
     std::string name_;
     std::string spec_;
+};
+
+/** Makespan of one built graph, as the degree search asks for it. */
+using GraphMakespan = std::function<double(const sim::TaskGraph &)>;
+
+/**
+ * PipeMoE's adaptive pipeline degree: build @p schedule at every
+ * r = 1..model.rMax, ask @p makespan for each graph's iteration time,
+ * and return the r with the least one (strict <, so the lowest r wins
+ * ties). This is the only place a degree search simulates: build()
+ * passes a plain Simulator, the sweep engine its content-addressed
+ * cache.
+ */
+int searchDegree(const Schedule &schedule, const ModelCost &model,
+                 const GraphMakespan &makespan);
+
+/**
+ * Base of schedules with one pipeline degree shared by forward and
+ * backward (Tutel, PipeMoE+Lina): a fixed degree from the spec, or 0
+ * for PipeMoE's simulated search. Subclasses implement only
+ * buildWithDegree().
+ */
+class AdaptiveDegreeSchedule : public Schedule
+{
+  public:
+    /** @param degree Fixed pipeline degree; 0 searches 1..rMax. */
+    explicit AdaptiveDegreeSchedule(int degree) : degree_(degree) {}
+
+    /** The fixed degree, or searchDegree() with a plain Simulator. */
+    sim::TaskGraph build(const ModelCost &model) const final;
+
+    bool searchesDegree() const final { return degree_ == 0; }
+
+  private:
+    int degree_;
 };
 
 namespace detail {
@@ -196,11 +249,14 @@ sim::TaskId appendAttention(sim::TaskGraph &graph, const LayerCost &lc,
 /**
  * Reserve @p graph's task vector and dependency pool for one full
  * iteration (forward + backward) of @p num_layers layers at pipeline
- * degrees up to @p r_max. Call once per build, before appending —
+ * degrees up to @p r_max, plus @p grad_tasks gradient tasks beyond the
+ * per-layer slack, each with one dependency and one barrier edge (Lina
+ * passes its bucket count). Call once per build, before appending —
  * over-estimating is fine, repeated exact-fit reserves are not (they
  * degrade vector growth to quadratic copying).
  */
-void reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max);
+void reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
+                      size_t grad_tasks = 0);
 
 /** Build backward-order generalized layers for the grad partitioner. */
 std::vector<GeneralizedLayer> makeGeneralizedLayers(const ModelCost &model);

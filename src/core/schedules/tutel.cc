@@ -11,8 +11,6 @@
  *    adaptively (PipeMoE) by minimising the simulated iteration time;
  *  - plain Tutel leaves Gradient-AllReduce unoverlapped at the end.
  */
-#include <limits>
-
 #include "core/schedules/builtins.h"
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
@@ -23,7 +21,7 @@ namespace {
 
 using namespace detail;
 
-class TutelSchedule : public Schedule
+class TutelSchedule : public AdaptiveDegreeSchedule
 {
   public:
     /**
@@ -32,32 +30,12 @@ class TutelSchedule : public Schedule
      *                 the simulated-makespan minimiser (PipeMoE).
      */
     TutelSchedule(bool improved, int degree)
-        : improved_(improved), degree_(degree)
+        : AdaptiveDegreeSchedule(degree), improved_(improved)
     {
     }
 
     sim::TaskGraph
-    build(const ModelCost &model) const override
-    {
-        if (degree_ > 0)
-            return buildWithDegree(model, degree_);
-        int best_r = 1;
-        double best_t = std::numeric_limits<double>::infinity();
-        sim::Simulator simulator;
-        for (int r = 1; r <= model.rMax; ++r) {
-            sim::TaskGraph g = buildWithDegree(model, r);
-            double t = simulator.run(g).makespan;
-            if (t < best_t) {
-                best_t = t;
-                best_r = r;
-            }
-        }
-        return buildWithDegree(model, best_r);
-    }
-
-  private:
-    sim::TaskGraph
-    buildWithDegree(const ModelCost &model, int r) const
+    buildWithDegree(const ModelCost &model, int r) const override
     {
         sim::TaskGraph graph;
         reserveIteration(graph, model.layers.size(), r);
@@ -113,8 +91,8 @@ class TutelSchedule : public Schedule
         return graph;
     }
 
+  private:
     bool improved_;
-    int degree_;
 };
 
 ScheduleParamInfo

@@ -273,8 +273,9 @@ evaluateScenario(const Scenario &s, int attempt)
         throw std::runtime_error("injected eval fault (attempt " +
                                  std::to_string(attempt) + ")");
     }
-    // The same pure pipeline as SweepEngine::timedSimulate, so a
-    // robust run's bytes match the plain engine's exactly.
+    // Schedule::build plus one simulation: the engine's content cache
+    // returns bit-identical results, so a robust run's bytes match the
+    // plain engine's exactly.
     ScenarioResult r;
     r.scenario = s;
     const core::ModelCost cost = ScenarioRegistry::instance().makeCost(s);

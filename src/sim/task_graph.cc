@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
 #include "base/audit.h"
 #include "base/stats.h"
@@ -51,7 +53,95 @@ TaskGraph::addTaskImpl(TaskLabel label, OpType op, Link link, int stream,
     dep_pool_.insert(dep_pool_.end(), deps, deps + n_deps);
     tasks_.push_back(t);
     num_streams_ = std::max(num_streams_, stream + 1);
+
     return id;
+}
+
+namespace {
+
+uint64_t
+rotl(uint64_t x, int r)
+{
+    return (x << r) | (x >> (64 - r));
+}
+
+/** MurmurHash3's 64-bit finalizer: full avalanche of one lane. */
+uint64_t
+fmix64(uint64_t k)
+{
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdull;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ull;
+    k ^= k >> 33;
+    return k;
+}
+
+} // namespace
+
+GraphDigest
+TaskGraph::digest() const
+{
+    // Four words per task — (stream, priority), the duration's bits,
+    // (op, link, dep count) and the first two deps — each times an odd
+    // constant (a bijection), combined into one value per lane, so
+    // changing any one field of one task always moves both lanes.
+    // Deps past the second follow two per word; the dep count keeps
+    // that packing unambiguous. The two lanes differ in rotations,
+    // combine operators and multipliers.
+    uint64_t lane_a = 0x27d4eb2f165667c5ull;
+    uint64_t lane_b = 0x94d049bb133111ebull;
+    const auto mix = [&](uint64_t a, uint64_t b) {
+        lane_a = rotl(lane_a ^ a, 31) * 0xd6e8feb86659fd93ull;
+        lane_b = rotl(lane_b + b, 27) * 0xa0761d6478bd642full;
+    };
+    for (const Task &t : tasks_) {
+        const TaskId *deps = dep_pool_.data() + t.depBegin;
+        const size_t n_deps = t.depCount;
+        const auto depPair = [&](size_t i) {
+            const uint64_t lo =
+                i < n_deps ? static_cast<uint32_t>(deps[i]) : 0;
+            const uint64_t hi =
+                i + 1 < n_deps ? static_cast<uint32_t>(deps[i + 1]) : 0;
+            return lo | hi << 32;
+        };
+        uint64_t w1;
+        std::memcpy(&w1, &t.duration, sizeof w1);
+        const uint64_t w0 =
+            static_cast<uint32_t>(t.stream) |
+            static_cast<uint64_t>(static_cast<uint32_t>(t.priority)) << 32;
+        const uint64_t w2 = static_cast<uint64_t>(t.op) |
+                            static_cast<uint64_t>(t.link) << 8 |
+                            static_cast<uint64_t>(n_deps) << 16;
+        const uint64_t w3 = depPair(0);
+        mix(w0 * 0x9e3779b185ebca87ull ^
+                rotl(w1 * 0xc2b2ae3d27d4eb4full, 16) ^
+                rotl(w2 * 0x165667b19e3779f9ull, 32) ^
+                rotl(w3 * 0x85ebca77c2b2ae63ull, 48),
+            w0 * 0x27d4eb2f165667c5ull +
+                rotl(w1 * 0xff51afd7ed558ccdull, 21) +
+                rotl(w2 * 0xc4ceb9fe1a85ec53ull, 42) +
+                rotl(w3 * 0x9fb21c651e98df25ull, 11));
+        for (size_t i = 2; i < n_deps; i += 2) {
+            const uint64_t w = depPair(i);
+            mix(w * 0x9e3779b185ebca87ull, w * 0x27d4eb2f165667c5ull);
+        }
+    }
+    const uint64_t n = tasks_.size();
+    GraphDigest d;
+    d.hi = fmix64(lane_a ^ n);
+    d.lo = fmix64(lane_b + n * 0x9e3779b97f4a7c15ull);
+    return d;
+}
+
+std::string
+GraphDigest::hex() const
+{
+    char buf[33];
+    std::snprintf(buf, sizeof buf, "%016llx%016llx",
+                  static_cast<unsigned long long>(hi),
+                  static_cast<unsigned long long>(lo));
+    return buf;
 }
 
 void

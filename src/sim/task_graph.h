@@ -16,6 +16,10 @@
  * static string plus an optional numeric suffix, materialised into a
  * std::string only when a trace/gantt/Chrome exporter actually asks
  * for the name (see docs/PERFORMANCE.md).
+ *
+ * TaskGraph::digest() is a 128-bit content digest of exactly what the
+ * simulator reads, so the sweep engine can memoize simulations by
+ * graph content.
  */
 #ifndef FSMOE_SIM_TASK_GRAPH_H
 #define FSMOE_SIM_TASK_GRAPH_H
@@ -110,6 +114,37 @@ struct Task
     std::string name() const { return label.str(); }
 };
 
+/**
+ * 128-bit content digest of a TaskGraph: equal digests mean equal
+ * simulator input (see TaskGraph::digest()). Not cryptographic — it
+ * guards against accidental collisions, and audit builds verify every
+ * digest the sweep engine caches under against an independent
+ * fingerprint.
+ */
+struct GraphDigest
+{
+    uint64_t hi = 0;
+    uint64_t lo = 0;
+
+    bool operator==(const GraphDigest &o) const
+    {
+        return hi == o.hi && lo == o.lo;
+    }
+    bool operator!=(const GraphDigest &o) const { return !(*this == o); }
+
+    /** 32 lowercase hex digits (hi then lo), for keys and logs. */
+    std::string hex() const;
+};
+
+/** Hash functor for GraphDigest-keyed unordered containers. */
+struct GraphDigestHash
+{
+    size_t operator()(const GraphDigest &d) const
+    {
+        return static_cast<size_t>(d.lo);
+    }
+};
+
 /** Non-owning view of one task's dependency list. */
 class DepSpan
 {
@@ -200,6 +235,17 @@ class TaskGraph
 
     /** Highest stream index used plus one. */
     int numStreams() const { return num_streams_; }
+
+    /**
+     * Content digest of everything Simulator::run consumes: per task
+     * its op, link, stream, priority, the bit pattern of its duration,
+     * its dependency count and ids, plus the task count. Labels are
+     * excluded — no SimResult field depends on them — so two graphs
+     * with equal digests simulate to bit-identical results. Computed
+     * on demand in one pass, O(tasks + deps): building a graph costs
+     * nothing extra when nothing asks for its digest.
+     */
+    GraphDigest digest() const;
 
   private:
     TaskId addTaskImpl(TaskLabel label, OpType op, Link link, int stream,

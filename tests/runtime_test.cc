@@ -269,8 +269,9 @@ TEST(SweepEngine, KeepGraphsBypassesTheSimCache)
     engine.run(grid);
     engine.run(grid);
     const SweepStats stats = engine.stats();
-    // Graphs must match the returned timings, so nothing is cached —
-    // and the counters must not pretend otherwise.
+    // Every scenario's graph is rebuilt (graphs are not cached), so
+    // the (costKey, schedule) cache is bypassed — and its counters must
+    // not pretend otherwise. The timings come from the content cache.
     EXPECT_EQ(stats.simCacheMisses, 0u);
     EXPECT_EQ(stats.simCacheHits, 0u);
 }

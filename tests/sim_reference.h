@@ -12,6 +12,10 @@
  * checks makespan, per-op times, and full traces on randomized DAGs,
  * and bench/bench_sim_hotpath.cc measures the speedup against it.
  *
+ * It also keeps the private degree-search loop that TutelSchedule and
+ * LinaSchedule each carried before core::searchDegree() replaced both
+ * (referenceDegree below; tests/sim_cache_test.cc compares them).
+ *
  * Keep this file dumb and obviously correct; it is the oracle.
  */
 #ifndef FSMOE_TESTS_SIM_REFERENCE_H
@@ -23,6 +27,7 @@
 #include <queue>
 #include <vector>
 
+#include "core/schedules/schedule.h"
 #include "sim/simulator.h"
 #include "sim/task_graph.h"
 
@@ -143,5 +148,30 @@ referenceRun(const TaskGraph &graph)
 }
 
 } // namespace fsmoe::sim
+
+namespace fsmoe::core {
+
+/**
+ * The pre-refactor degree search, verbatim: simulate r = 1..rMax and
+ * keep the first strict minimum (the lowest r wins ties).
+ */
+inline int
+referenceDegree(const Schedule &schedule, const ModelCost &model)
+{
+    int best_r = 1;
+    double best_t = std::numeric_limits<double>::infinity();
+    sim::Simulator simulator;
+    for (int r = 1; r <= model.rMax; ++r) {
+        sim::TaskGraph g = schedule.buildWithDegree(model, r);
+        double t = simulator.run(g).makespan;
+        if (t < best_t) {
+            best_t = t;
+            best_r = r;
+        }
+    }
+    return best_r;
+}
+
+} // namespace fsmoe::core
 
 #endif // FSMOE_TESTS_SIM_REFERENCE_H
