@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "base/logging.h"
+#include "base/stats.h"
 
 namespace fsmoe::core {
 
@@ -47,10 +48,18 @@ int
 searchDegree(const Schedule &schedule, const ModelCost &model,
              const GraphMakespan &makespan)
 {
+    static stats::Counter &pruned = stats::counter("core.degreeSearch.pruned");
     int best_r = 1;
     double best_t = std::numeric_limits<double>::infinity();
     for (int r = 1; r <= model.rMax; ++r) {
-        const double t = makespan(schedule.buildWithDegree(model, r));
+        const sim::TaskGraph graph = schedule.buildWithDegree(model, r);
+        // A graph whose lower bound reaches best_t cannot pass the
+        // strict < below, whatever it simulates to.
+        if (r > 1 && sim::makespanLowerBound(graph) >= best_t) {
+            pruned.inc();
+            continue;
+        }
+        const double t = makespan(graph);
         if (t < best_t) {
             best_t = t;
             best_r = r;

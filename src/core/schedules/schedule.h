@@ -154,11 +154,14 @@ using GraphMakespan = std::function<double(const sim::TaskGraph &)>;
 
 /**
  * PipeMoE's adaptive pipeline degree: build @p schedule at every
- * r = 1..model.rMax, ask @p makespan for each graph's iteration time,
- * and return the r with the least one (strict <, so the lowest r wins
- * ties). This is the only place a degree search simulates: build()
- * passes a plain Simulator, the sweep engine its content-addressed
- * cache.
+ * r = 1..model.rMax and return the r with the least iteration time
+ * (strict <, so the lowest r wins ties). @p makespan is asked for r = 1
+ * and for every later graph whose sim::makespanLowerBound is below the
+ * best makespan so far; a graph whose bound reaches it could not pass
+ * the strict <, so it is skipped (counted in core.degreeSearch.pruned)
+ * and the chosen degree is the one simulating every r would give.
+ * This is the only place a degree search simulates: build() passes a
+ * plain Simulator, the sweep engine its content-addressed cache.
  */
 int searchDegree(const Schedule &schedule, const ModelCost &model,
                  const GraphMakespan &makespan);

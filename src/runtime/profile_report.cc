@@ -35,6 +35,9 @@ void
 printProfile(const SweepStats &stats, const char *wall_label, double wall_ms)
 {
     const core::SolverCacheStats solver = core::solverCacheStats();
+    const stats::Histogram &search_ms =
+        stats::histogram("sweep.degreeSearch.ms");
+    const stats::Histogram &final_ms = stats::histogram("sweep.simulate.ms");
     std::printf("\nper-stage profile (summed across workers):\n");
     std::printf("  %-28s %10.1f ms  (%zu cold, %zu cached)\n",
                 "cost derivation", stats.costDeriveMs,
@@ -49,8 +52,11 @@ printProfile(const SweepStats &stats, const char *wall_label, double wall_ms)
                 static_cast<unsigned long long>(solver.pipelineHits +
                                                 solver.partitionHits),
                 count("solver.step2.runs"), count("solver.de.evals"));
-    std::printf("  %-28s %10.1f ms\n", "degree-search sims",
-                stats.degreeSearchMs);
+    std::printf("  %-28s %10.1f ms  (%llu simulated, %llu ruled out by "
+                "bound; process-wide)\n",
+                "degree-search sims", stats.degreeSearchMs,
+                static_cast<unsigned long long>(search_ms.count()),
+                count("core.degreeSearch.pruned"));
     std::printf("  %-28s %10.1f ms\n", "simulate (final graphs)",
                 stats.simulateMs);
     std::printf("  %-28s %10.1f ms\n", wall_label, wall_ms);
@@ -69,9 +75,6 @@ printProfile(const SweepStats &stats, const char *wall_label, double wall_ms)
                stats::counter("solver.pipeline.misses").value() +
                    stats::counter("solver.partition.misses").value());
 
-    const stats::Histogram &search_ms =
-        stats::histogram("sweep.degreeSearch.ms");
-    const stats::Histogram &final_ms = stats::histogram("sweep.simulate.ms");
     std::printf("simulations (process-wide): %llu sim.runs, %llu tasks "
                 "(%llu degree-search, %llu final)\n",
                 count("sim.runs"), count("sim.tasks.executed"),

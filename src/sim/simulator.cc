@@ -291,6 +291,78 @@ Simulator::run(const TaskGraph &graph) const
     return result;
 }
 
+/*
+ * Why each term is a lower bound, against the run() loop above:
+ *
+ * Chain term. run() starts a task at a clock `now` that is >= every
+ * dependency's finish (it is issuable only once they have all
+ * completed) and >= its stream predecessor's start (FIFO: it becomes
+ * the head when the predecessor starts). When the predecessor is on
+ * the same link, `now` is also >= the predecessor's finish, because
+ * the link stays busy until then. It sets finish = now + duration. By
+ * induction in id order (dependencies and stream predecessors have
+ * smaller ids), now >= est and so finish >= fl(est + duration) = eft:
+ * IEEE addition is monotone in each operand. No margin is needed.
+ *
+ * Link term. On one link, each task starts no earlier than the
+ * previous task's finish there, so by the same monotonicity the last
+ * finish is >= the link's durations summed left to right in
+ * *execution* order, from 0. This pass sums them in *id* order. For k
+ * non-negative terms with exact sum S, any recursive summation order
+ * lands within gamma = (k - 1) u / (1 - (k - 1) u) of S, relatively,
+ * where u = 2^-53: execution order >= (1 - gamma) S and id order
+ * <= (1 + gamma) S, so makespan >= idsum (1 - gamma) / (1 + gamma)
+ * >= idsum (1 - 2 gamma). With k <= n and n u tiny, 2 gamma < 2 n u,
+ * and forming idsum * (1 - margin) rounds twice more (at most u each,
+ * relative), so margin = 4 (n + 1) u covers everything with room to
+ * spare. At the largest graphs swept (~122k tasks) that is ~5e-11 of
+ * the link sum.
+ */
+double
+makespanLowerBound(const TaskGraph &graph)
+{
+    const auto &tasks = graph.tasks();
+    const size_t n = tasks.size();
+
+    // Per stream: the latest task's earliest start and finish, and its
+    // link (whether the next task on the stream also waits for the
+    // finish, or only the start).
+    struct StreamTail
+    {
+        double est = 0.0;
+        double eft = 0.0;
+        Link link = Link::Compute;
+    };
+    std::vector<StreamTail> tails(static_cast<size_t>(graph.numStreams()));
+    // One array per thread, kept across calls: a degree search bounds
+    // up to rMax - 1 graphs in a row, and a fresh array per call raised
+    // the demo tune query's peak RSS by ~0.4 MB. Dependencies point to
+    // smaller ids, so each slot is written before any task reads it.
+    thread_local std::vector<double> eft;
+    if (eft.size() < n)
+        eft.resize(n);
+    std::array<double, static_cast<size_t>(Link::NumLinks)> link_sum{};
+    const TaskId *pool = graph.depPool().data();
+
+    double chain = 0.0;
+    for (const Task &t : tasks) {
+        StreamTail &tail = tails[static_cast<size_t>(t.stream)];
+        double est = tail.link == t.link ? tail.eft : tail.est;
+        const TaskId *dep = pool + t.depBegin;
+        for (const TaskId *end = dep + t.depCount; dep != end; ++dep)
+            est = std::max(est, eft[static_cast<size_t>(*dep)]);
+        const double finish = est + t.duration;
+        eft[static_cast<size_t>(t.id)] = finish;
+        tail = {est, finish, t.link};
+        link_sum[static_cast<size_t>(t.link)] += t.duration;
+        chain = std::max(chain, finish);
+    }
+
+    const double margin = std::ldexp(4.0 * static_cast<double>(n + 1), -53);
+    const double busiest = *std::max_element(link_sum.begin(), link_sum.end());
+    return std::max(chain, busiest * (1.0 - margin));
+}
+
 std::string
 Simulator::gantt(const TaskGraph &graph, const SimResult &result, int columns)
 {

@@ -96,6 +96,22 @@ class Simulator
                              int columns = 100);
 };
 
+/**
+ * A value never above Simulator::run(graph).makespan, from one O(n + e)
+ * pass in task-id order with no simulation: the larger of
+ *
+ *  - the chain term, each task's earliest finish along its dependency
+ *    and stream chains (exact: every simulated finish is >= it), and
+ *  - the link term, the busiest link's summed durations, shrunk by a
+ *    relative margin of 4 (n + 1) 2^-53 that covers summing them in id
+ *    order rather than the simulator's execution order.
+ *
+ * The degree search (core::searchDegree) skips simulating a graph whose
+ * bound already reaches the best makespan found. docs/PERFORMANCE.md
+ * "Pruning the degree search" gives both proofs.
+ */
+double makespanLowerBound(const TaskGraph &graph);
+
 } // namespace fsmoe::sim
 
 #endif // FSMOE_SIM_SIMULATOR_H

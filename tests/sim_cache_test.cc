@@ -5,15 +5,19 @@
  *    such field moves it, a label does not;
  *  - core::searchDegree() picks the same pipeline degree as the private
  *    loops it replaced (kept as referenceDegree in sim_reference.h),
- *    ties included;
+ *    ties included, although it skips simulating any degree whose
+ *    sim::makespanLowerBound already reaches the best makespan;
  *  - the sweep engine's content cache changes no output byte and no
  *    deterministic work count across thread counts, and simulates each
- *    distinct graph of the demo grid exactly once.
+ *    distinct graph of the demo grid that a search could not rule out
+ *    exactly once.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -141,30 +145,54 @@ plainMakespan(const sim::TaskGraph &g)
     return sim::Simulator{}.run(g).makespan;
 }
 
+/** searchDegree() and build() agree with the reference loop. */
+void
+expectReferenceDegree(const core::Schedule &schedule,
+                      const core::ModelCost &cost, const std::string &what)
+{
+    ASSERT_TRUE(schedule.searchesDegree()) << what;
+    const int oracle = core::referenceDegree(schedule, cost);
+    EXPECT_EQ(core::searchDegree(schedule, cost, plainMakespan), oracle)
+        << what;
+    // build() runs the same search and builds the winner.
+    EXPECT_EQ(schedule.build(cost).digest(),
+              schedule.buildWithDegree(cost, oracle).digest())
+        << what;
+}
+
 TEST(DegreeSearch, SharedSearchPicksTheReferenceLoopsDegree)
 {
     const std::vector<core::ModelCost> costs = {
         demoCost("gpt2xl-moe", "testbedA", 1024, 4),
         demoCost("mixtral-7b", "testbedB", 256, 3),
     };
+    // chunkMB = 1/1024 is the tuner's smallest Lina bucket: ~122k-task
+    // graphs at the demo query's shape.
     for (const char *spec :
          {"Tutel", "Tutel-Improved", "PipeMoE+Lina",
-          "PipeMoE+Lina?chunkMB=200", "PipeMoE+Lina?chunkMB=2"}) {
+          "PipeMoE+Lina?chunkMB=200", "PipeMoE+Lina?chunkMB=2",
+          "PipeMoE+Lina?chunkMB=0.0009765625"}) {
         const auto schedule = core::Schedule::create(spec);
-        ASSERT_TRUE(schedule->searchesDegree()) << spec;
-        for (const core::ModelCost &cost : costs) {
-            const int oracle = core::referenceDegree(*schedule, cost);
-            EXPECT_EQ(core::searchDegree(*schedule, cost, plainMakespan),
-                      oracle)
-                << spec;
-            // build() runs the same search and builds the winner.
-            EXPECT_EQ(schedule->build(cost).digest(),
-                      schedule->buildWithDegree(cost, oracle).digest())
-                << spec;
-        }
+        for (const core::ModelCost &cost : costs)
+            expectReferenceDegree(*schedule, cost, spec);
     }
     EXPECT_FALSE(core::Schedule::create("Tutel?degree=4")->searchesDegree());
     EXPECT_FALSE(core::Schedule::create("FSMoE")->searchesDegree());
+}
+
+TEST(DegreeSearch, PicksTheReferenceDegreeOnEveryDemoGridSearch)
+{
+    size_t searches = 0;
+    for (const runtime::Scenario &s : runtime::demoGrid()) {
+        const auto schedule = core::Schedule::create(s.schedule);
+        if (!schedule->searchesDegree())
+            continue;
+        expectReferenceDegree(
+            *schedule, runtime::ScenarioRegistry::instance().makeCost(s),
+            s.label());
+        ++searches;
+    }
+    EXPECT_GT(searches, 0u);
 }
 
 /**
@@ -198,6 +226,11 @@ TEST(DegreeSearch, TiesKeepTheLowestDegree)
     core::ModelCost cost;
     cost.rMax = 8;
     const TieSchedule schedule(0);
+    // Degrees 5 and 6 tie with 3 and their bound is exact, so the
+    // search rules them out on bound == best, not on a simulation.
+    for (int r : {3, 5, 6})
+        EXPECT_EQ(sim::makespanLowerBound(schedule.buildWithDegree(cost, r)),
+                  2.0);
     EXPECT_EQ(core::referenceDegree(schedule, cost), 3);
     EXPECT_EQ(core::searchDegree(schedule, cost, plainMakespan), 3);
     EXPECT_EQ(schedule.build(cost).digest(),
@@ -241,24 +274,46 @@ expectSameSims(const std::vector<runtime::ScenarioResult> &a,
     }
 }
 
-/** Every distinct graph the scenarios can ask the simulator about. */
-size_t
-distinctGraphs(const std::vector<runtime::Scenario> &grid)
+/**
+ * What the engine must simulate for @p grid: each distinct graph that
+ * a scenario builds, or that a degree search could not rule out by its
+ * lower bound — simulated once each — and how many search graphs the
+ * bound ruled out, counted per search. Worked out here from the graphs
+ * and sim::makespanLowerBound, not from searchDegree().
+ */
+struct ExpectedWork
 {
-    std::set<std::string> digests;
+    std::set<std::string> simulated;
+    uint64_t pruned = 0;
+};
+
+ExpectedWork
+expectedWork(const std::vector<runtime::Scenario> &grid)
+{
+    ExpectedWork work;
     for (const runtime::Scenario &s : grid) {
         const core::ModelCost cost =
             runtime::ScenarioRegistry::instance().makeCost(s);
         const auto schedule = core::Schedule::create(s.schedule);
-        if (schedule->searchesDegree()) {
-            for (int r = 1; r <= cost.rMax; ++r)
-                digests.insert(
-                    schedule->buildWithDegree(cost, r).digest().hex());
-        } else {
-            digests.insert(schedule->build(cost).digest().hex());
+        if (!schedule->searchesDegree()) {
+            work.simulated.insert(schedule->build(cost).digest().hex());
+            continue;
+        }
+        // Degree 1 is always simulated; a later degree only when its
+        // bound is below every makespan seen so far. The winner is
+        // among the simulated graphs, so the final graph adds nothing.
+        double best = std::numeric_limits<double>::infinity();
+        for (int r = 1; r <= cost.rMax; ++r) {
+            const sim::TaskGraph g = schedule->buildWithDegree(cost, r);
+            if (sim::makespanLowerBound(g) >= best) {
+                ++work.pruned;
+                continue;
+            }
+            work.simulated.insert(g.digest().hex());
+            best = std::min(best, plainMakespan(g));
         }
     }
-    return digests.size();
+    return work;
 }
 
 TEST(SimCache, DemoGridIsByteIdenticalWithTheCacheOnOrOff)
@@ -285,13 +340,18 @@ TEST(SimCache, DemoGridIsByteIdenticalWithTheCacheOnOrOff)
 TEST(SimCache, DemoGridSimulatesEachDistinctGraphOnce)
 {
     const auto grid = runtime::demoGrid();
-    const size_t distinct = distinctGraphs(grid);
+    const ExpectedWork expected = expectedWork(grid);
+    const size_t distinct = expected.simulated.size();
     stats::Counter &runs = stats::counter("sim.runs");
+    stats::Counter &pruned = stats::counter("core.degreeSearch.pruned");
     for (int threads : {1, 4}) {
         runtime::SweepEngine engine({threads});
         const uint64_t before = runs.value();
+        const uint64_t pruned_before = pruned.value();
         engine.run(grid);
         EXPECT_EQ(runs.value() - before, distinct) << threads << " threads";
+        EXPECT_EQ(pruned.value() - pruned_before, expected.pruned)
+            << threads << " threads";
         const runtime::SweepStats st = engine.stats();
         EXPECT_EQ(st.graphCacheMisses, distinct);
         // Every final graph is looked up once, every search graph once
@@ -348,7 +408,9 @@ TEST(SimCache, DemoTuneAnswerAndSimCountDoNotDependOnThreads)
         EXPECT_TRUE(answer == baseline) << threads << " threads";
     }
     EXPECT_EQ(sims[0], sims[1]);
-    EXPECT_LE(sims[0], 160u);
+    // 56 final graphs and the 3 degree-search graphs the bound could
+    // not rule out (the CI profile smoke gates the same count).
+    EXPECT_EQ(sims[0], 59u);
 }
 
 TEST(SimCache, AuditRegistersEveryGraphUnderItsDigest)
@@ -395,12 +457,14 @@ TEST(EngineDegreeSearch, KeepsTheLowestDegreeOnATie)
         s.schedule = spec;
         grid.push_back(s);
     }
+    // The degree=5 graph, plus the search graphs the bound leaves in;
+    // the two searches and degree=5 share them.
+    const size_t distinct = expectedWork(grid).simulated.size();
     stats::Counter &runs = stats::counter("sim.runs");
     const uint64_t before = runs.value();
     runtime::SweepEngine engine({/*numThreads=*/2});
     const auto results = engine.run(grid);
-    // Eight distinct graphs; the two searches and degree=5 share them.
-    EXPECT_EQ(runs.value() - before, 8u);
+    EXPECT_EQ(runs.value() - before, distinct);
     const size_t expected_tasks[] = {1 + 3, 1 + 5, 1 + 3};
     for (size_t i = 0; i < grid.size(); ++i) {
         EXPECT_EQ(results[i].sim.trace.size(), expected_tasks[i])

@@ -11,8 +11,12 @@
  * that claim: zero-duration barriers, priority classes, deep FIFO
  * streams, wide fan-in, and simultaneous completions; a second test
  * runs every registered schedule's real graph through both engines.
+ *
+ * The same graphs check sim::makespanLowerBound, which the degree
+ * search prunes with: it must never exceed the simulated makespan.
  */
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -113,24 +117,30 @@ TEST(SimFuzz, MatchesNaiveReferenceOnRandomDags)
     }
 }
 
+/** A three-layer model on @p cluster, the shape the sweep simulates. */
+core::ModelCost
+threeLayerCost(const sim::ClusterSpec &cluster)
+{
+    core::LayerShape shape;
+    shape.batch = 2;
+    shape.seqLen = 512;
+    shape.embed = 2048;
+    shape.hidden = 3 * 2048;
+    shape.numExperts = cluster.numNodes;
+    core::ParallelConfig par = model::paperParallelism(cluster);
+    core::ModelCost cost;
+    cost.models = core::PerfModelSet::fromCluster(cluster);
+    for (int i = 0; i < 3; ++i)
+        cost.layers.push_back(core::makeLayerCost(cost.models, shape, par));
+    return cost;
+}
+
 TEST(SimFuzz, MatchesNaiveReferenceOnScheduleGraphs)
 {
     // Real graphs from every registered schedule plugin, both
     // testbeds: the exact shapes the sweep hot path simulates.
     for (const sim::ClusterSpec &cluster : {testbedA(), testbedB()}) {
-        core::LayerShape shape;
-        shape.batch = 2;
-        shape.seqLen = 512;
-        shape.embed = 2048;
-        shape.hidden = 3 * 2048;
-        shape.numExperts = cluster.numNodes;
-        core::ParallelConfig par = model::paperParallelism(cluster);
-        core::ModelCost cost;
-        cost.models = core::PerfModelSet::fromCluster(cluster);
-        for (int i = 0; i < 3; ++i)
-            cost.layers.push_back(
-                core::makeLayerCost(cost.models, shape, par));
-
+        const core::ModelCost cost = threeLayerCost(cluster);
         for (const std::string &name :
              core::ScheduleRegistry::instance().names()) {
             TaskGraph graph = core::Schedule::create(name)->build(cost);
@@ -139,6 +149,87 @@ TEST(SimFuzz, MatchesNaiveReferenceOnScheduleGraphs)
             expectIdentical(graph, fast, ref, name);
         }
     }
+}
+
+// ------------------------------------------------- makespan lower bound
+
+TEST(MakespanLowerBound, NeverExceedsTheMakespanOnRandomDags)
+{
+    Simulator simulator;
+    for (int seed = 0; seed < 120; ++seed) {
+        std::mt19937 rng(0xf5013e5u + static_cast<unsigned>(seed));
+        const TaskGraph g = randomDag(rng);
+        EXPECT_LE(makespanLowerBound(g), simulator.run(g).makespan)
+            << "seed " << seed;
+    }
+}
+
+TEST(MakespanLowerBound, NeverExceedsTheMakespanOnScheduleGraphs)
+{
+    // Every graph a degree search can build (r = 1..16), and every
+    // other schedule's one graph.
+    for (const sim::ClusterSpec &cluster : {testbedA(), testbedB()}) {
+        const core::ModelCost cost = threeLayerCost(cluster);
+        ASSERT_EQ(cost.rMax, 16);
+        for (const std::string &name :
+             core::ScheduleRegistry::instance().names()) {
+            const auto schedule = core::Schedule::create(name);
+            std::vector<TaskGraph> graphs;
+            if (schedule->searchesDegree()) {
+                for (int r = 1; r <= cost.rMax; ++r)
+                    graphs.push_back(schedule->buildWithDegree(cost, r));
+            } else {
+                graphs.push_back(schedule->build(cost));
+            }
+            for (size_t i = 0; i < graphs.size(); ++i)
+                EXPECT_LE(makespanLowerBound(graphs[i]),
+                          Simulator{}.run(graphs[i]).makespan)
+                    << name << " graph " << i;
+        }
+    }
+}
+
+TEST(MakespanLowerBound, EqualsTheMakespanOnASingleLinkChain)
+{
+    // One stream on one link: each task waits for the one before, so
+    // the chain term adds the durations exactly as the simulator does.
+    TaskGraph g;
+    for (int i = 0; i < 50; ++i)
+        g.addTask({"t", i}, OpType::Experts, Link::Compute, 0,
+                  0.1 * (i % 7) + 1.0 / 3.0);
+    EXPECT_EQ(makespanLowerBound(g), Simulator{}.run(g).makespan);
+}
+
+TEST(MakespanLowerBound, LinkMarginCoversOutOfIdOrderExecution)
+{
+    // Four tasks share the compute link. Ids 0 and 1 (stream 0,
+    // background priority) carry 2^-53 each; ids 2 and 3 (streams 1
+    // and 2) carry 0.5 each and win the link first. In execution order
+    // the link adds 0.5 + 0.5 = 1, then 1 + 2^-53 rounds back to 1
+    // (ties to even), twice. In id order, 2^-53 + 2^-53 = 2^-52 is
+    // exact, and so is everything after: the sum lands on 1 + 2^-52.
+    const double tiny = std::ldexp(1.0, -53);
+    TaskGraph g;
+    g.addTask("b", OpType::GradAllReduce, Link::Compute, 0, tiny, {}, 1);
+    g.addTask("c", OpType::GradAllReduce, Link::Compute, 0, tiny, {}, 1);
+    g.addTask("a1", OpType::Experts, Link::Compute, 1, 0.5);
+    g.addTask("a2", OpType::Experts, Link::Compute, 2, 0.5);
+    const SimResult sim = Simulator{}.run(g);
+    ASSERT_EQ(sim.makespan, 1.0);
+    ASSERT_EQ(sim.trace[1].finish, 1.0) << "the tiny tasks ran last";
+
+    double id_order_sum = 0.0;
+    for (const Task &t : g.tasks())
+        id_order_sum += t.duration;
+    // Pruning on the raw id-order sum would rule this graph out against
+    // a best makespan of 1 + 2^-52 that it actually beats...
+    EXPECT_EQ(id_order_sum, 1.0 + 2 * tiny);
+    EXPECT_GT(id_order_sum, sim.makespan);
+    // ...and the margin brings the link term back under the makespan.
+    // (The chain term is only 0.5 here, so the link term is the bound.)
+    const double bound = makespanLowerBound(g);
+    EXPECT_LE(bound, sim.makespan);
+    EXPECT_GT(bound, 0.5);
 }
 
 } // namespace
