@@ -29,7 +29,8 @@ class LinaSchedule : public AdaptiveDegreeSchedule
      * @param degree      Fixed pipeline degree; 0 searches 1..rMax.
      */
     LinaSchedule(double chunk_bytes, int degree)
-        : AdaptiveDegreeSchedule(degree), chunk_bytes_(chunk_bytes)
+        : AdaptiveDegreeSchedule(degree, {/*mergeCommLinks=*/true}),
+          chunk_bytes_(chunk_bytes)
     {
     }
 
@@ -46,8 +47,7 @@ class LinaSchedule : public AdaptiveDegreeSchedule
             static_cast<size_t>(std::floor(grad_bytes / chunk_bytes_)) + 1;
         sim::TaskGraph graph;
         reserveIteration(graph, model.layers.size(), r, buckets);
-        PipelineBuildOptions opts;
-        opts.mergeCommLinks = true;
+        const PipelineBuildOptions &opts = pipelineOptions();
 
         sim::TaskId dep = -1;
         for (const LayerCost &lc : model.layers) {

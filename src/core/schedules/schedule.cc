@@ -1,12 +1,111 @@
 #include "core/schedules/schedule.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
+#include "base/audit.h"
 #include "base/logging.h"
 #include "base/stats.h"
 
 namespace fsmoe::core {
+
+namespace {
+
+/** The link intra-node collectives use. */
+sim::Link
+commLink(bool merged)
+{
+    return merged ? sim::Link::InterNode : sim::Link::IntraNode;
+}
+
+/** One MoE phase's per-chunk durations at pipeline degree r. */
+struct ChunkTimes
+{
+    double a2a; ///< Each dispatch and each combine.
+    double ag;
+    double rs;
+    double exp;
+};
+
+ChunkTimes
+chunkTimes(const PerfModelSet &models, const LayerCost &lc, Phase phase,
+           int r)
+{
+    const PipelineProblem prob =
+        makeProblem(models, lc.workload, phase, 0.0, r);
+    return {prob.a2a.chunk(r), prob.ag.chunk(r), prob.rs.chunk(r),
+            prob.exp.chunk(r)};
+}
+
+/** The pipeline chunks detail::appendMoePhase emits over one model. */
+struct PipelineLoads
+{
+    sim::LinkTimes sum{}; ///< Their durations per link.
+    double tasks = 0.0;   ///< How many there are.
+};
+
+/** Pipeline chunks of every layer, forward and backward, at degree r. */
+PipelineLoads
+pipelineLoads(const ModelCost &model, int r,
+              const detail::PipelineBuildOptions &opts)
+{
+    const size_t inter = static_cast<size_t>(sim::Link::InterNode);
+    const size_t intra = static_cast<size_t>(commLink(opts.mergeCommLinks));
+    const size_t compute = static_cast<size_t>(sim::Link::Compute);
+    PipelineLoads loads;
+    for (const LayerCost &lc : model.layers) {
+        for (Phase phase : {Phase::Forward, Phase::Backward}) {
+            const ChunkTimes c = chunkTimes(model.models, lc, phase, r);
+            loads.sum[inter] += r * c.a2a; // dispatch
+            loads.sum[intra] += r * c.ag;
+            loads.sum[compute] += r * c.exp;
+            loads.sum[intra] += r * c.rs;
+            loads.sum[inter] += r * c.a2a; // combine
+            loads.tasks += 5.0 * r;
+        }
+    }
+    return loads;
+}
+
+#if FSMOE_AUDIT_ENABLED
+/**
+ * Drift guard: build the degree @p loads ruled out and check that they
+ * match its own per-link sums within their margins, which hold only
+ * while the builder depends on r through appendMoePhase alone. Never
+ * simulates, so simulation counts are the same with audits on or off.
+ */
+void
+auditLinkLoads(const Schedule &schedule, const ModelCost &model, int r,
+               const LinkLoads &loads)
+{
+    static stats::Counter &checks =
+        stats::counter("audit.degreeSearch.loadChecks");
+    const sim::LinkTimes built =
+        sim::linkSums(schedule.buildWithDegree(model, r));
+    for (size_t l = 0; l < built.size(); ++l) {
+        if (!(std::fabs(loads.sum[l] - built[l]) <= loads.margin[l]))
+            FSMOE_PANIC("schedule '", schedule.spec(), "' degree ", r,
+                        ": link ", l, " sums to ", built[l],
+                        " but its pre-build load is ", loads.sum[l],
+                        " +- ", loads.margin[l],
+                        " (does the builder depend on r outside "
+                        "appendMoePhase?)");
+    }
+    checks.inc();
+}
+#endif
+
+} // namespace
+
+double
+LinkLoads::lowerBound() const
+{
+    double bound = 0.0;
+    for (size_t l = 0; l < sum.size(); ++l)
+        bound = std::max(bound, sum[l] - margin[l]);
+    return bound;
+}
 
 LayerCost
 makeLayerCost(const PerfModelSet &models, const LayerShape &shape,
@@ -44,18 +143,48 @@ Schedule::buildWithDegree(const ModelCost &model, int r) const
                 r, ")");
 }
 
+std::vector<LinkLoads>
+Schedule::degreeLinkLoads(const ModelCost &model,
+                          const sim::TaskGraph &degree_one) const
+{
+    (void)model;
+    (void)degree_one;
+    return {};
+}
+
 int
 searchDegree(const Schedule &schedule, const ModelCost &model,
-             const GraphMakespan &makespan)
+             const GraphMakespan &makespan, sim::TaskGraph *winner)
 {
     static stats::Counter &pruned = stats::counter("core.degreeSearch.pruned");
+    static stats::Counter &unbuilt =
+        stats::counter("core.degreeSearch.unbuilt");
+    // The last graph built, of degree `built`; the previous one is
+    // freed before each build, so no two search graphs are ever alive.
+    sim::TaskGraph graph;
+    int built = 0;
+    const auto build = [&](int r) {
+        graph = sim::TaskGraph();
+        graph = schedule.buildWithDegree(model, r);
+        built = r;
+    };
+    build(1);
     int best_r = 1;
-    double best_t = std::numeric_limits<double>::infinity();
-    for (int r = 1; r <= model.rMax; ++r) {
-        const sim::TaskGraph graph = schedule.buildWithDegree(model, r);
-        // A graph whose lower bound reaches best_t cannot pass the
-        // strict < below, whatever it simulates to.
-        if (r > 1 && sim::makespanLowerBound(graph) >= best_t) {
+    double best_t = makespan(graph);
+    const std::vector<LinkLoads> loads =
+        schedule.degreeLinkLoads(model, graph);
+    for (int r = 2; r <= model.rMax; ++r) {
+        // A degree whose lower bound reaches best_t cannot pass the
+        // strict < below, whatever it simulates to: check the bound
+        // that needs no graph first, then the built graph's own.
+        if (!loads.empty() && loads[r].lowerBound() >= best_t) {
+            FSMOE_AUDIT(auditLinkLoads(schedule, model, r, loads[r]));
+            unbuilt.inc();
+            pruned.inc();
+            continue;
+        }
+        build(r);
+        if (sim::makespanLowerBound(graph) >= best_t) {
             pruned.inc();
             continue;
         }
@@ -64,6 +193,11 @@ searchDegree(const Schedule &schedule, const ModelCost &model,
             best_t = t;
             best_r = r;
         }
+    }
+    if (winner != nullptr) {
+        if (built != best_r)
+            build(best_r);
+        *winner = std::move(graph);
     }
     return best_r;
 }
@@ -74,10 +208,61 @@ AdaptiveDegreeSchedule::build(const ModelCost &model) const
     if (degree_ > 0)
         return buildWithDegree(model, degree_);
     const sim::Simulator simulator{};
-    return buildWithDegree(
-        model, searchDegree(*this, model, [&](const sim::TaskGraph &g) {
-            return simulator.run(g).makespan;
-        }));
+    sim::TaskGraph graph;
+    searchDegree(
+        *this, model,
+        [&](const sim::TaskGraph &g) { return simulator.run(g).makespan; },
+        &graph);
+    return graph;
+}
+
+/*
+ * Why sum - margin never exceeds the simulated makespan T of degree
+ * r's graph G_r, on each link. Let u = 2^-53, n_1 the task count of
+ * degree 1's graph G_1 and m_r the pipeline chunks at degree r, so
+ * N = n_1 + m_r bounds the task count of G_1, of G_r and the chunk
+ * count of either pipeline on any link.
+ *
+ * On a link, G_r's durations are G_1's with G_1's pipeline chunks
+ * (exact sum P_1) swapped for G_r's (exact sum P_r): only
+ * appendMoePhase depends on r. So their exact sum is
+ * S_r = S_1 - P_1 + P_r, with S_1 G_1's exact sum. The code forms
+ * s1 (G_1's id-order sum), p1 and pr (r * chunk products, then summed)
+ * and sum = fl(fl(s1 - p1) + pr). For k non-negative terms, any
+ * recursive summation is within gamma_k S of the exact sum S, with
+ * gamma_k = k u / (1 - k u), and one more u covers pr's products.
+ * With M = s1 + p1 + pr, the three sums are off by at most
+ * (N + 1) u M together, and the two outer operations by u M each
+ * (|s1 - p1| and the result are <= M). So |sum - S_r| <= (N + 3) u M,
+ * up to terms of order (N u)^2 M.
+ *
+ * The simulator finishes the link's last task no earlier than G_r's
+ * durations summed in execution order (the makespanLowerBound proof in
+ * sim/simulator.cc), which is >= (1 - gamma_N) S_r >= S_r - N u M. So
+ * T >= sum - (2N + 3) u M. The margin is 4 (N + 1) u M, and forming
+ * fl(sum - fl(4 (N + 1) u * fl(M))) rounds three more times (M twice,
+ * the difference once; each at most u M), which the 2N + 1 spare
+ * units cover. The same two estimates put G_r's own id-order sum
+ * within (2N + 3) u M of `sum`, which is what the audit checks.
+ */
+std::vector<LinkLoads>
+AdaptiveDegreeSchedule::degreeLinkLoads(const ModelCost &model,
+                                        const sim::TaskGraph &degree_one) const
+{
+    const sim::LinkTimes one = sim::linkSums(degree_one);
+    const PipelineLoads one_pipe = pipelineLoads(model, 1, opts_);
+    std::vector<LinkLoads> loads(static_cast<size_t>(model.rMax) + 1);
+    for (int r = 1; r <= model.rMax; ++r) {
+        const PipelineLoads pipe = pipelineLoads(model, r, opts_);
+        const double n = static_cast<double>(degree_one.size()) + pipe.tasks;
+        const double rel = std::ldexp(4.0 * (n + 1.0), -53);
+        LinkLoads &at = loads[static_cast<size_t>(r)];
+        for (size_t l = 0; l < one.size(); ++l) {
+            at.sum[l] = (one[l] - one_pipe.sum[l]) + pipe.sum[l];
+            at.margin[l] = rel * (one[l] + one_pipe.sum[l] + pipe.sum[l]);
+        }
+    }
+    return loads;
 }
 
 namespace detail {
@@ -95,16 +280,6 @@ streamName(int stream)
       default: return nullptr;
     }
 }
-
-namespace {
-
-sim::Link
-commLink(bool merged)
-{
-    return merged ? sim::Link::InterNode : sim::Link::IntraNode;
-}
-
-} // namespace
 
 void
 reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
@@ -143,13 +318,7 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
 {
     FSMOE_CHECK_ARG(r >= 1, "pipeline degree must be >= 1");
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
-    const PipelineProblem prob =
-        makeProblem(models, lc.workload, phase, 0.0, r);
-
-    const double t_a2a = prob.a2a.chunk(r);
-    const double t_ag = prob.ag.chunk(r);
-    const double t_rs = prob.rs.chunk(r);
-    const double t_exp = prob.exp.chunk(r);
+    const ChunkTimes chunk = chunkTimes(models, lc, phase, r);
 
     const int s_comp = kCompute;
     const int s_disp = opts.sequential ? kCompute : kDispatch;
@@ -183,7 +352,7 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     std::vector<sim::TaskId> dispatch(r), combine(r);
     for (int i = 0; i < r; ++i) {
         dispatch[i] = graph.addTask({"d", i}, sim::OpType::AlltoAll,
-                                    l_inter, s_disp, t_a2a, {order});
+                                    l_inter, s_disp, chunk.a2a, {order});
     }
     sim::TaskId gar = -1;
     if (gar_ms > 0.0) {
@@ -199,14 +368,14 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
         *gar_out = gar;
     for (int i = 0; i < r; ++i) {
         sim::TaskId ag = graph.addTask({"g", i}, sim::OpType::AllGather,
-                                       l_intra, s_ag, t_ag, {dispatch[i]});
+                                       l_intra, s_ag, chunk.ag, {dispatch[i]});
         sim::TaskId exp = graph.addTask({"e", i}, sim::OpType::Experts,
-                                        sim::Link::Compute, s_comp, t_exp,
+                                        sim::Link::Compute, s_comp, chunk.exp,
                                         {ag});
         sim::TaskId rs = graph.addTask({"s", i}, sim::OpType::ReduceScatter,
-                                       l_intra, s_rs, t_rs, {exp});
+                                       l_intra, s_rs, chunk.rs, {exp});
         combine[i] = graph.addTask({"c", i}, sim::OpType::AlltoAll, l_inter,
-                                   s_comb, t_a2a, {rs});
+                                   s_comb, chunk.a2a, {rs});
     }
 
     // The inverse order waits for every combined chunk; the gradient

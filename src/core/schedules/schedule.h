@@ -78,6 +78,35 @@ struct ModelCost
 LayerCost makeLayerCost(const PerfModelSet &models, const LayerShape &shape,
                         const ParallelConfig &par);
 
+namespace detail {
+
+/** Options controlling how the MoE pipeline is emitted. */
+struct PipelineBuildOptions
+{
+    /// Serialise intra-node collectives on the inter-node channel
+    /// (models systems without intra/inter overlap).
+    bool mergeCommLinks = false;
+    /// Place every task on the compute stream (fully sequential).
+    bool sequential = false;
+};
+
+} // namespace detail
+
+/**
+ * Per-link duration sums of one degree-search graph, worked out
+ * without building it. Each `sum` lies within `margin` of the graph's
+ * own durations on that link, summed exactly or in any order
+ * (docs/PERFORMANCE.md "Bounding before building").
+ */
+struct LinkLoads
+{
+    sim::LinkTimes sum{};
+    sim::LinkTimes margin{};
+
+    /** max over links of sum - margin: never above the makespan. */
+    double lowerBound() const;
+};
+
 class ScheduleRegistry;
 
 /**
@@ -136,6 +165,17 @@ class Schedule
     virtual sim::TaskGraph buildWithDegree(const ModelCost &model,
                                            int r) const;
 
+    /**
+     * Per-link loads of buildWithDegree(model, r) for r = 1..rMax
+     * (index r; index 0 is unused), derived from @p degree_one, the
+     * built buildWithDegree(model, 1), without building the others.
+     * Empty when the schedule cannot derive them (the default): the
+     * degree search then builds every degree it checks.
+     */
+    virtual std::vector<LinkLoads>
+    degreeLinkLoads(const ModelCost &model,
+                    const sim::TaskGraph &degree_one) const;
+
     /** Convenience: build, simulate, and return the makespan in ms. */
     double iterationTimeMs(const ModelCost &model) const;
 
@@ -153,38 +193,70 @@ class Schedule
 using GraphMakespan = std::function<double(const sim::TaskGraph &)>;
 
 /**
- * PipeMoE's adaptive pipeline degree: build @p schedule at every
- * r = 1..model.rMax and return the r with the least iteration time
- * (strict <, so the lowest r wins ties). @p makespan is asked for r = 1
- * and for every later graph whose sim::makespanLowerBound is below the
- * best makespan so far; a graph whose bound reaches it could not pass
- * the strict <, so it is skipped (counted in core.degreeSearch.pruned)
- * and the chosen degree is the one simulating every r would give.
- * This is the only place a degree search simulates: build() passes a
- * plain Simulator, the sweep engine its content-addressed cache.
+ * PipeMoE's adaptive pipeline degree: the r in 1..model.rMax with the
+ * least iteration time (strict <, so the lowest r wins ties).
+ * @p makespan is asked for r = 1 and for every later r that two lower
+ * bounds leave below the best makespan so far: first the schedule's
+ * degreeLinkLoads(), which rules a degree out before it is built
+ * (counted in core.degreeSearch.unbuilt), then
+ * sim::makespanLowerBound on the built graph. A degree either bound
+ * rules out could not pass the strict <, so it is skipped (counted in
+ * core.degreeSearch.pruned) and the chosen degree is the one
+ * simulating every r would give. At most one search graph is alive at
+ * a time; @p winner, when given, receives the chosen degree's graph
+ * (rebuilt only when it was not the last one built). This is the only
+ * place a degree search simulates: build() passes a plain Simulator,
+ * the sweep engine its content-addressed cache.
  */
 int searchDegree(const Schedule &schedule, const ModelCost &model,
-                 const GraphMakespan &makespan);
+                 const GraphMakespan &makespan,
+                 sim::TaskGraph *winner = nullptr);
 
 /**
  * Base of schedules with one pipeline degree shared by forward and
  * backward (Tutel, PipeMoE+Lina): a fixed degree from the spec, or 0
  * for PipeMoE's simulated search. Subclasses implement only
- * buildWithDegree().
+ * buildWithDegree(), and only through r in detail::appendMoePhase
+ * with pipelineOptions(): every other task is the same at every
+ * degree. That is what lets degreeLinkLoads() work out a degree's
+ * per-link loads from degree 1's without building it (audited in
+ * Debug builds by searchDegree()).
  */
 class AdaptiveDegreeSchedule : public Schedule
 {
   public:
-    /** @param degree Fixed pipeline degree; 0 searches 1..rMax. */
-    explicit AdaptiveDegreeSchedule(int degree) : degree_(degree) {}
+    /**
+     * @param degree Fixed pipeline degree; 0 searches 1..rMax.
+     * @param opts   How buildWithDegree() emits the MoE pipeline.
+     */
+    AdaptiveDegreeSchedule(int degree, const detail::PipelineBuildOptions &opts)
+        : degree_(degree), opts_(opts)
+    {
+    }
 
     /** The fixed degree, or searchDegree() with a plain Simulator. */
     sim::TaskGraph build(const ModelCost &model) const final;
 
     bool searchesDegree() const final { return degree_ == 0; }
 
+    /**
+     * Degree 1's per-link sums with its MoE pipeline chunks swapped for
+     * degree r's: O(layers) per degree, from the same chunk durations
+     * detail::appendMoePhase emits, with a proven rounding margin.
+     */
+    std::vector<LinkLoads>
+    degreeLinkLoads(const ModelCost &model,
+                    const sim::TaskGraph &degree_one) const override;
+
+  protected:
+    const detail::PipelineBuildOptions &pipelineOptions() const
+    {
+        return opts_;
+    }
+
   private:
     int degree_;
+    detail::PipelineBuildOptions opts_;
 };
 
 namespace detail {
@@ -207,16 +279,6 @@ enum Stream : int
  * label).
  */
 const char *streamName(int stream);
-
-/** Options controlling how the MoE pipeline is emitted. */
-struct PipelineBuildOptions
-{
-    /// Serialise intra-node collectives on the inter-node channel
-    /// (models systems without intra/inter overlap).
-    bool mergeCommLinks = false;
-    /// Place every task on the compute stream (fully sequential).
-    bool sequential = false;
-};
 
 /**
  * Append one MoE layer phase (routing/order, pipelined dispatch ->

@@ -30,7 +30,8 @@ class TutelSchedule : public AdaptiveDegreeSchedule
      *                 the simulated-makespan minimiser (PipeMoE).
      */
     TutelSchedule(bool improved, int degree)
-        : AdaptiveDegreeSchedule(degree), improved_(improved)
+        : AdaptiveDegreeSchedule(degree, {/*mergeCommLinks=*/true}),
+          improved_(improved)
     {
     }
 
@@ -39,8 +40,7 @@ class TutelSchedule : public AdaptiveDegreeSchedule
     {
         sim::TaskGraph graph;
         reserveIteration(graph, model.layers.size(), r);
-        PipelineBuildOptions opts;
-        opts.mergeCommLinks = true;
+        const PipelineBuildOptions &opts = pipelineOptions();
 
         sim::TaskId dep = -1;
         for (const LayerCost &lc : model.layers) {

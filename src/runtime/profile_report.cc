@@ -53,10 +53,11 @@ printProfile(const SweepStats &stats, const char *wall_label, double wall_ms)
                                                 solver.partitionHits),
                 count("solver.step2.runs"), count("solver.de.evals"));
     std::printf("  %-28s %10.1f ms  (%llu simulated, %llu ruled out by "
-                "bound; process-wide)\n",
+                "bound, %llu of them unbuilt; process-wide)\n",
                 "degree-search sims", stats.degreeSearchMs,
                 static_cast<unsigned long long>(search_ms.count()),
-                count("core.degreeSearch.pruned"));
+                count("core.degreeSearch.pruned"),
+                count("core.degreeSearch.unbuilt"));
     std::printf("  %-28s %10.1f ms\n", "simulate (final graphs)",
                 stats.simulateMs);
     std::printf("  %-28s %10.1f ms\n", wall_label, wall_ms);

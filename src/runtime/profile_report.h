@@ -12,9 +12,9 @@
  * line of their own. Ratios, work counts and per-simulation latency
  * come from the process-wide stats registry, so repeated runs in one
  * process accumulate there; the work counts (simulator runs, tasks,
- * degree-search graphs ruled out by bound, step-2 runs, DE
- * evaluations) are deterministic for a given run on one thread, and CI
- * gates them exactly.
+ * degree-search graphs ruled out by bound and how many of those were
+ * never built, step-2 runs, DE evaluations) are deterministic for a
+ * given run on one thread, and CI gates them exactly.
  */
 #ifndef FSMOE_RUNTIME_PROFILE_REPORT_H
 #define FSMOE_RUNTIME_PROFILE_REPORT_H

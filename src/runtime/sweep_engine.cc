@@ -263,11 +263,12 @@ SweepEngine::evaluate(const core::ModelCost &cost,
     {
         SelfSpan span("graphBuild", "stage");
         if (schedule.searchesDegree()) {
-            const int r = core::searchDegree(
-                schedule, cost, [&](const sim::TaskGraph &g) {
+            core::searchDegree(
+                schedule, cost,
+                [&](const sim::TaskGraph &g) {
                     return searchMakespan(g, &search);
-                });
-            graph = schedule.buildWithDegree(cost, r);
+                },
+                &graph);
         } else {
             graph = schedule.build(cost);
         }

@@ -17,8 +17,10 @@
  *      runs core::searchDegree() with this cache as its makespan
  *      oracle, so "tutel" shares simulations with "tutel?degree=4",
  *      and a search's winning graph is never simulated a second time.
- *      A search graph whose sim::makespanLowerBound already reaches the
- *      search's best makespan is never digested or looked up.
+ *      A degree whose lower bound already reaches the search's best
+ *      makespan is never digested or looked up (nor built, when the
+ *      schedule's pre-build loads rule it out), and the search hands
+ *      back the winning graph rather than the engine rebuilding it.
  *      Degree-search entries keep only the makespan; an entry keeps
  *      its full SimResult only once a final graph needs it (plus, while
  *      a search runs, the search's best graph so far), which bounds

@@ -341,7 +341,7 @@ makespanLowerBound(const TaskGraph &graph)
     thread_local std::vector<double> eft;
     if (eft.size() < n)
         eft.resize(n);
-    std::array<double, static_cast<size_t>(Link::NumLinks)> link_sum{};
+    LinkTimes link_sum{};
     const TaskId *pool = graph.depPool().data();
 
     double chain = 0.0;
@@ -361,6 +361,15 @@ makespanLowerBound(const TaskGraph &graph)
     const double margin = std::ldexp(4.0 * static_cast<double>(n + 1), -53);
     const double busiest = *std::max_element(link_sum.begin(), link_sum.end());
     return std::max(chain, busiest * (1.0 - margin));
+}
+
+LinkTimes
+linkSums(const TaskGraph &graph)
+{
+    LinkTimes sums{};
+    for (const Task &t : graph.tasks())
+        sums[static_cast<size_t>(t.link)] += t.duration;
+    return sums;
 }
 
 std::string

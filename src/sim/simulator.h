@@ -40,6 +40,9 @@
 
 namespace fsmoe::sim {
 
+/** One value per physical link, indexed by Link. */
+using LinkTimes = std::array<double, static_cast<size_t>(Link::NumLinks)>;
+
 /** Start/finish record for one executed task. */
 struct TaskTrace
 {
@@ -111,6 +114,9 @@ class Simulator
  * "Pruning the degree search" gives both proofs.
  */
 double makespanLowerBound(const TaskGraph &graph);
+
+/** Each link's task durations summed in task-id order. */
+LinkTimes linkSums(const TaskGraph &graph);
 
 } // namespace fsmoe::sim
 

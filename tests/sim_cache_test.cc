@@ -5,8 +5,9 @@
  *    such field moves it, a label does not;
  *  - core::searchDegree() picks the same pipeline degree as the private
  *    loops it replaced (kept as referenceDegree in sim_reference.h),
- *    ties included, although it skips simulating any degree whose
- *    sim::makespanLowerBound already reaches the best makespan;
+ *    ties included, although it skips any degree whose pre-build link
+ *    loads or sim::makespanLowerBound already reach the best makespan,
+ *    and hands back the winner's graph;
  *  - the sweep engine's content cache changes no output byte and no
  *    deterministic work count across thread counts, and simulates each
  *    distinct graph of the demo grid that a search could not rule out
@@ -152,9 +153,15 @@ expectReferenceDegree(const core::Schedule &schedule,
 {
     ASSERT_TRUE(schedule.searchesDegree()) << what;
     const int oracle = core::referenceDegree(schedule, cost);
-    EXPECT_EQ(core::searchDegree(schedule, cost, plainMakespan), oracle)
+    sim::TaskGraph winner;
+    EXPECT_EQ(core::searchDegree(schedule, cost, plainMakespan, &winner),
+              oracle)
         << what;
-    // build() runs the same search and builds the winner.
+    // The search hands back the winner's graph, and build() runs the
+    // same search.
+    EXPECT_EQ(winner.digest(),
+              schedule.buildWithDegree(cost, oracle).digest())
+        << what;
     EXPECT_EQ(schedule.build(cost).digest(),
               schedule.buildWithDegree(cost, oracle).digest())
         << what;
@@ -199,14 +206,15 @@ TEST(DegreeSearch, PicksTheReferenceDegreeOnEveryDemoGridSearch)
  * A hand-built tie: one compute task per degree whose duration is
  * kTimes[r - 1], so degrees 3, 5 and 6 tie at the minimum. Padding
  * tasks of zero duration on a second stream keep every degree's graph
- * distinct in content without moving its makespan.
+ * distinct in content without moving its makespan. Its graphs depend
+ * on r outside the MoE pipeline, so it derives no pre-build loads.
  */
 class TieSchedule : public core::AdaptiveDegreeSchedule
 {
   public:
     static constexpr double kTimes[] = {9, 7, 2, 8, 2, 2, 3, 4};
 
-    explicit TieSchedule(int degree) : AdaptiveDegreeSchedule(degree) {}
+    explicit TieSchedule(int degree) : AdaptiveDegreeSchedule(degree, {}) {}
 
     sim::TaskGraph
     buildWithDegree(const core::ModelCost &, int r) const override
@@ -218,6 +226,27 @@ class TieSchedule : public core::AdaptiveDegreeSchedule
             g.addTask("pad", sim::OpType::Other, sim::Link::IntraNode, 1,
                       0.0);
         return g;
+    }
+
+    std::vector<core::LinkLoads>
+    degreeLinkLoads(const core::ModelCost &,
+                    const sim::TaskGraph &) const override
+    {
+        return {};
+    }
+};
+
+/** TieSchedule claiming the pipeline-only loads it does not have. */
+class DriftingTieSchedule : public TieSchedule
+{
+  public:
+    DriftingTieSchedule() : TieSchedule(0) {}
+
+    std::vector<core::LinkLoads>
+    degreeLinkLoads(const core::ModelCost &model,
+                    const sim::TaskGraph &degree_one) const override
+    {
+        return AdaptiveDegreeSchedule::degreeLinkLoads(model, degree_one);
     }
 };
 
@@ -235,6 +264,25 @@ TEST(DegreeSearch, TiesKeepTheLowestDegree)
     EXPECT_EQ(core::searchDegree(schedule, cost, plainMakespan), 3);
     EXPECT_EQ(schedule.build(cost).digest(),
               schedule.buildWithDegree(cost, 3).digest());
+}
+
+TEST(DegreeSearch, AuditCatchesLoadsOfABuilderThatDependsOnROutsideThePipeline)
+{
+    core::ModelCost cost;
+    cost.rMax = 8;
+    const DriftingTieSchedule schedule;
+    // With no layers the claimed loads are degree 1's 9 ms at every
+    // degree, which would rule degree 2 (7 ms) out unbuilt...
+    const std::vector<core::LinkLoads> loads = schedule.degreeLinkLoads(
+        cost, schedule.buildWithDegree(cost, 1));
+    ASSERT_EQ(loads.size(), 9u);
+    EXPECT_GT(loads[2].lowerBound(),
+              plainMakespan(schedule.buildWithDegree(cost, 2)));
+    // ...and the audit build of that degree catches it.
+    if (!audit::compiledIn() || !audit::enabled())
+        GTEST_SKIP() << "audits are compiled out of this build";
+    EXPECT_DEATH(core::searchDegree(schedule, cost, plainMakespan),
+                 "outside appendMoePhase");
 }
 
 // ------------------------------------------------------ engine cache
@@ -277,14 +325,16 @@ expectSameSims(const std::vector<runtime::ScenarioResult> &a,
 /**
  * What the engine must simulate for @p grid: each distinct graph that
  * a scenario builds, or that a degree search could not rule out by its
- * lower bound — simulated once each — and how many search graphs the
- * bound ruled out, counted per search. Worked out here from the graphs
- * and sim::makespanLowerBound, not from searchDegree().
+ * lower bounds — simulated once each — and how many search degrees the
+ * bounds ruled out, and the pre-build one alone, counted per search.
+ * Worked out here from the graphs, the schedule's pre-build loads and
+ * sim::makespanLowerBound, not from searchDegree().
  */
 struct ExpectedWork
 {
     std::set<std::string> simulated;
     uint64_t pruned = 0;
+    uint64_t unbuilt = 0;
 };
 
 ExpectedWork
@@ -299,11 +349,19 @@ expectedWork(const std::vector<runtime::Scenario> &grid)
             work.simulated.insert(schedule->build(cost).digest().hex());
             continue;
         }
-        // Degree 1 is always simulated; a later degree only when its
-        // bound is below every makespan seen so far. The winner is
+        // Degree 1 is always simulated; a later degree only when both
+        // bounds are below every makespan seen so far. The winner is
         // among the simulated graphs, so the final graph adds nothing.
+        const sim::TaskGraph one = schedule->buildWithDegree(cost, 1);
+        const std::vector<core::LinkLoads> loads =
+            schedule->degreeLinkLoads(cost, one);
         double best = std::numeric_limits<double>::infinity();
         for (int r = 1; r <= cost.rMax; ++r) {
+            if (!loads.empty() && loads[r].lowerBound() >= best) {
+                ++work.pruned;
+                ++work.unbuilt;
+                continue;
+            }
             const sim::TaskGraph g = schedule->buildWithDegree(cost, r);
             if (sim::makespanLowerBound(g) >= best) {
                 ++work.pruned;
@@ -342,15 +400,20 @@ TEST(SimCache, DemoGridSimulatesEachDistinctGraphOnce)
     const auto grid = runtime::demoGrid();
     const ExpectedWork expected = expectedWork(grid);
     const size_t distinct = expected.simulated.size();
+    EXPECT_GT(expected.unbuilt, 0u);
     stats::Counter &runs = stats::counter("sim.runs");
     stats::Counter &pruned = stats::counter("core.degreeSearch.pruned");
+    stats::Counter &unbuilt = stats::counter("core.degreeSearch.unbuilt");
     for (int threads : {1, 4}) {
         runtime::SweepEngine engine({threads});
         const uint64_t before = runs.value();
         const uint64_t pruned_before = pruned.value();
+        const uint64_t unbuilt_before = unbuilt.value();
         engine.run(grid);
         EXPECT_EQ(runs.value() - before, distinct) << threads << " threads";
         EXPECT_EQ(pruned.value() - pruned_before, expected.pruned)
+            << threads << " threads";
+        EXPECT_EQ(unbuilt.value() - unbuilt_before, expected.unbuilt)
             << threads << " threads";
         const runtime::SweepStats st = engine.stats();
         EXPECT_EQ(st.graphCacheMisses, distinct);

@@ -14,10 +14,14 @@
  *
  * The same graphs check sim::makespanLowerBound, which the degree
  * search prunes with: it must never exceed the simulated makespan.
+ * Neither may the pre-build bound a degree search checks first
+ * (core::AdaptiveDegreeSchedule::degreeLinkLoads), on demo-grid and
+ * random model costs.
  */
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
 #include "model/models.h"
+#include "runtime/scenario.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
 #include "sim_reference.h"
@@ -230,6 +235,156 @@ TEST(MakespanLowerBound, LinkMarginCoversOutOfIdOrderExecution)
     const double bound = makespanLowerBound(g);
     EXPECT_LE(bound, sim.makespan);
     EXPECT_GT(bound, 0.5);
+}
+
+// -------------------------------------------------- pre-build link loads
+
+/**
+ * A random model of 1-4 layers under perf models whose startup term is
+ * 0, under 1 ms, or large (20-70 ms): per-chunk times at every degree
+ * from startup-free to startup-dominated.
+ */
+core::ModelCost
+randomCost(std::mt19937 &rng)
+{
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_int_distribution<int> kind(0, 2);
+    const auto linear = [&](double volume) {
+        core::LinearModel m;
+        switch (kind(rng)) {
+          case 0: m.alpha = 0.0; break;
+          case 1: m.alpha = unit(rng); break;
+          default: m.alpha = 20.0 + 50.0 * unit(rng); break;
+        }
+        m.beta = 50.0 * unit(rng) / volume; // up to 50 ms per whole task
+        return m;
+    };
+    core::ModelCost cost;
+    cost.models.alltoall = linear(1e8);
+    cost.models.allgather = linear(1e8);
+    cost.models.reducescatter = linear(1e8);
+    cost.models.allreduce = linear(1e7);
+    cost.models.gemm = linear(1e10);
+    std::uniform_int_distribution<int> layers(1, 4), gemms(1, 4);
+    for (int i = layers(rng); i > 0; --i) {
+        core::LayerCost lc;
+        lc.workload.a2aBytes = 1e8 * unit(rng);
+        lc.workload.agBytes = 1e8 * unit(rng);
+        lc.workload.rsBytes = 1e8 * unit(rng);
+        lc.workload.expertMacs = 1e10 * unit(rng);
+        lc.workload.expertGemms = gemms(rng);
+        lc.workload.gradBytes = 1e7 * unit(rng);
+        lc.fwd = core::forwardTimes(cost.models, lc.workload);
+        lc.bwd = core::backwardTimes(cost.models, lc.workload);
+        lc.fwd.attention = 10.0 * unit(rng);
+        lc.bwd.attention = 2.0 * lc.fwd.attention;
+        cost.layers.push_back(lc);
+    }
+    return cost;
+}
+
+/** The tuner's smallest Lina bucket: one gradient task per KB. */
+constexpr const char *kSmallestBucket = "PipeMoE+Lina?chunkMB=0.0009765625";
+
+/** Every registered degree-searching spec, plus @p extra if given. */
+std::vector<std::string>
+searchingSpecs(const char *extra)
+{
+    std::vector<std::string> specs;
+    for (const std::string &name : core::ScheduleRegistry::instance().names())
+        if (core::Schedule::create(name)->searchesDegree())
+            specs.push_back(name);
+    if (extra != nullptr)
+        specs.push_back(extra);
+    return specs;
+}
+
+/**
+ * At every degree, the loads match the built graph's own per-link sums
+ * within their margins, and their bound never exceeds its makespan.
+ */
+void
+expectLoadsBoundTheMakespan(const core::Schedule &schedule,
+                            const core::ModelCost &cost,
+                            const std::string &what)
+{
+    const std::vector<core::LinkLoads> loads =
+        schedule.degreeLinkLoads(cost, schedule.buildWithDegree(cost, 1));
+    ASSERT_EQ(loads.size(), static_cast<size_t>(cost.rMax) + 1) << what;
+    for (int r = 1; r <= cost.rMax; ++r) {
+        const TaskGraph g = schedule.buildWithDegree(cost, r);
+        const LinkTimes built = linkSums(g);
+        for (size_t l = 0; l < built.size(); ++l)
+            EXPECT_LE(std::fabs(loads[r].sum[l] - built[l]),
+                      loads[r].margin[l])
+                << what << " r=" << r << " link " << l;
+        EXPECT_LE(loads[r].lowerBound(), Simulator{}.run(g).makespan)
+            << what << " r=" << r;
+    }
+}
+
+TEST(PreBuildLoads, NeverExceedTheMakespanOnDemoGridCosts)
+{
+    std::set<std::string> seen;
+    for (const runtime::Scenario &s : runtime::demoGrid({1})) {
+        if (!seen.insert(s.costKey()).second)
+            continue;
+        const core::ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        // The smallest bucket on the demo tune query's model (121k and
+        // 242k tasks a graph); mixtral's would take 1-2 M.
+        for (const std::string &spec : searchingSpecs(
+                 s.model == "gpt2xl-moe" ? kSmallestBucket : nullptr))
+            expectLoadsBoundTheMakespan(*core::Schedule::create(spec), cost,
+                                        spec + " on " + s.label());
+    }
+    EXPECT_GT(seen.size(), 1u);
+}
+
+TEST(PreBuildLoads, NeverExceedTheMakespanOnRandomCosts)
+{
+    for (int seed = 0; seed < 12; ++seed) {
+        std::mt19937 rng(0x10adu + static_cast<unsigned>(seed));
+        const core::ModelCost cost = randomCost(rng);
+        for (const std::string &spec : searchingSpecs(kSmallestBucket))
+            expectLoadsBoundTheMakespan(*core::Schedule::create(spec), cost,
+                                        spec + " seed " +
+                                            std::to_string(seed));
+    }
+}
+
+TEST(PreBuildLoads, MarginCoversTheClosedFormsRounding)
+{
+    // One Tutel layer with 1 ms of forward attention and free
+    // communication: the compute link never idles, and its last finish
+    // is its durations added in execution order. The expert chunks are
+    // 2^-54 forward and 2^-53 backward (the alpha term only), so each
+    // rounds away when added to 1, and the simulated makespan is 1 at
+    // every degree.
+    core::ModelCost cost;
+    cost.models.gemm.alpha = std::ldexp(1.0, -54);
+    core::LayerCost lc;
+    lc.workload.expertGemms = 1;
+    lc.fwd.attention = 1.0;
+    cost.layers.push_back(lc);
+    const auto schedule = core::Schedule::create("Tutel");
+    const TaskGraph g = schedule->buildWithDegree(cost, 16);
+    const SimResult sim = Simulator{}.run(g);
+    ASSERT_EQ(sim.makespan, 1.0);
+    ASSERT_EQ(sim.busyOf(Link::Compute), 1.0);
+
+    // The closed form swaps degree 1's pipeline part for degree 16's
+    // exactly, 16 * (2^-54 + 2^-53) = 12 * 2^-52: it lands on
+    // fl(1 - 3 * 2^-54) + 12 * 2^-52 = 1 + 11 * 2^-52...
+    const std::vector<core::LinkLoads> loads =
+        schedule->degreeLinkLoads(cost, schedule->buildWithDegree(cost, 1));
+    const core::LinkLoads &at = loads[16];
+    const size_t compute = static_cast<size_t>(Link::Compute);
+    EXPECT_EQ(at.sum[compute], 1.0 + 11 * std::ldexp(1.0, -52));
+    EXPECT_GT(at.sum[compute], sim.busyOf(Link::Compute));
+    // ...and the margin brings the bound back under the makespan.
+    EXPECT_LE(at.lowerBound(), sim.makespan);
+    EXPECT_GT(at.lowerBound(), 1.0 - std::ldexp(1.0, -40));
 }
 
 } // namespace
